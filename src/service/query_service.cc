@@ -110,10 +110,6 @@ void QueryService::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
       running_++;
-      if (options_.async_disk != nullptr) {
-        // Batch the device exactly as deep as the offered concurrency.
-        options_.async_disk->set_target_queue_depth(running_);
-      }
     }
     const std::shared_ptr<obs::QueryContext>& ctx = task.ctx;
     const uint64_t start = obs::SpanNowNanos();
@@ -149,10 +145,6 @@ void QueryService::WorkerLoop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       running_--;
-      if (options_.async_disk != nullptr) {
-        options_.async_disk->set_target_queue_depth(
-            running_ == 0 ? 1 : running_);
-      }
       if (queue_.empty() && running_ == 0) {
         idle_cv_.notify_all();
       }

@@ -396,8 +396,8 @@ Result<std::unique_ptr<SimulatedDisk>> SimulatedDisk::LoadFrom(
       page_size > (1u << 20) || !ReadU64(file.get(), &count)) {
     return Status::Corruption("bad disk image header in '" + path + "'");
   }
-  auto disk =
-      std::make_unique<SimulatedDisk>(DiskOptions{.page_size = page_size});
+  auto disk = std::make_unique<SimulatedDisk>(
+      DiskOptions{.page_size = page_size, .geometry = {}});
   std::vector<std::byte> buffer(page_size);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t id = 0;

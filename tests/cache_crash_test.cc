@@ -216,8 +216,12 @@ void VerifyColdConsistentCache(FaultInjectingDisk* disk, const Ack& ack,
   if (ack.t1) {
     ASSERT_TRUE(durable.contains(kRoot1) && durable.contains(kChild1));
   }
-  if (ack.t2) EXPECT_EQ(durable.at(kChild1).fields[0], 2222);
-  if (ack.t3) EXPECT_EQ(durable.at(kRoot2).refs[7], kRoot1);
+  if (ack.t2) {
+    EXPECT_EQ(durable.at(kChild1).fields[0], 2222);
+  }
+  if (ack.t3) {
+    EXPECT_EQ(durable.at(kRoot2).refs[7], kRoot1);
+  }
 
   ObjectStore store(&buffer, &directory);
   cache::ObjectCache cache;

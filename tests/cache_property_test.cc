@@ -261,7 +261,9 @@ TEST(CacheProperty, ConcurrentCachedReadsMatchShadowAssembly) {
             first_write_diag = result.status.ToString();
           }
         }
-        if (result.status.ok() && job.abort) EXPECT_TRUE(result.aborted);
+        if (result.status.ok() && job.abort) {
+          EXPECT_TRUE(result.aborted);
+        }
       }
     });
   }

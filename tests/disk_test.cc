@@ -102,7 +102,7 @@ TEST(DiskTest, InvalidPageIdRejected) {
 }
 
 TEST(DiskTest, CustomPageSize) {
-  SimulatedDisk disk(DiskOptions{.page_size = 4096});
+  SimulatedDisk disk(DiskOptions{.page_size = 4096, .geometry = {}});
   EXPECT_EQ(disk.page_size(), 4096u);
   auto page = MakePage(4096, 8);
   ASSERT_TRUE(disk.WritePage(0, page.data()).ok());
