@@ -177,7 +177,6 @@ PolicyRun RunPolicy(AcobDatabase* db, const Flags& flags,
   {
     service::ServiceOptions sopts;
     sopts.num_workers = flags.clients;
-    sopts.async_disk = &async;
     sopts.cache = object_cache.get();
     service::QueryService service(&pool, db->directory.get(), sopts);
     std::vector<std::thread> clients;

@@ -102,7 +102,6 @@ TEST(ReclusterConcurrency, ClientsRaceTheMoverWithConservedAttribution) {
     pool.set_forwarding(&fwd);
     service::ServiceOptions sopts;
     sopts.num_workers = kClients;
-    sopts.async_disk = &async;
     service::QueryService service(&pool, db->directory.get(), sopts);
 
     // Delivery-time shadow: re-assemble the delivered root naively over

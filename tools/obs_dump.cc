@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
   {
     service::ServiceOptions sopts;
     sopts.num_workers = flags.clients;
-    sopts.async_disk = &async;
     sopts.slow_query_ns = flags.slow_ns;
     service::QueryService service(&pool, db->directory.get(), sopts);
 
