@@ -369,55 +369,13 @@ struct RunResult {
   }
 };
 
-// Fans disk events out to two listeners — the registry publisher plus an
-// extra consumer (e.g. the re-clustering affinity learner).  Only the
-// spindle-carrying forms matter (the disk calls only those); the plain
-// forms forward too for listeners driven by hand.
-class TeeDiskListener : public DiskEventListener {
- public:
-  TeeDiskListener(DiskEventListener* a, DiskEventListener* b) : a_(a), b_(b) {}
-  void OnDiskRead(PageId p, uint64_t s) override {
-    a_->OnDiskRead(p, s);
-    b_->OnDiskRead(p, s);
-  }
-  void OnDiskWrite(PageId p, uint64_t s) override {
-    a_->OnDiskWrite(p, s);
-    b_->OnDiskWrite(p, s);
-  }
-  void OnDiskReadRun(PageId first, size_t pages, uint64_t s) override {
-    a_->OnDiskReadRun(first, pages, s);
-    b_->OnDiskReadRun(first, pages, s);
-  }
-  void OnDiskReadAt(uint32_t sp, PageId p, uint64_t s) override {
-    a_->OnDiskReadAt(sp, p, s);
-    b_->OnDiskReadAt(sp, p, s);
-  }
-  void OnDiskWriteAt(uint32_t sp, PageId p, uint64_t s) override {
-    a_->OnDiskWriteAt(sp, p, s);
-    b_->OnDiskWriteAt(sp, p, s);
-  }
-  void OnDiskReadRunAt(uint32_t sp, PageId first, size_t pages,
-                       uint64_t s) override {
-    a_->OnDiskReadRunAt(sp, first, pages, s);
-    b_->OnDiskReadRunAt(sp, first, pages, s);
-  }
-  void OnDiskFault(PageId p, FaultKind kind) override {
-    a_->OnDiskFault(p, kind);
-    b_->OnDiskFault(p, kind);
-  }
-
- private:
-  DiskEventListener* a_;
-  DiskEventListener* b_;
-};
-
 // Cold-restarts `db`, assembles every root with `options`, and returns the
 // measurement.  Aborts the benchmark on error (benchmarks are not supposed
 // to fail silently).  Every run records the disk read trace (for the
 // seek-distance histogram) and publishes into a fresh telemetry registry.
-// `extra_disk_listener`, when set, sees every disk event alongside the
+// `extra_disk_listener`, when set, sees every disk event after the
 // publisher (bench/recluster_convergence.cc feeds its affinity sketch
-// this way); null keeps the historical single-listener path.
+// this way).
 inline RunResult RunAssembly(
     AcobDatabase* db, AssemblyOptions options,
     size_t batch_size = exec::RowBatch::kDefaultCapacity,
@@ -439,11 +397,11 @@ inline RunResult RunAssembly(
   if (cache_flags != nullptr) object_cache = cache_flags->MakeCache();
   obs::Registry registry;
   obs::RegistryPublisher publisher(&registry);
-  TeeDiskListener tee(&publisher, extra_disk_listener);
+  obs::TelemetryHub disk_sinks;
+  disk_sinks.Add(&publisher);
+  if (extra_disk_listener != nullptr) disk_sinks.Add(extra_disk_listener);
   db->disk->EnableReadTrace(true);
-  db->disk->set_listener(extra_disk_listener != nullptr
-                             ? static_cast<DiskEventListener*>(&tee)
-                             : &publisher);
+  db->disk->set_listener(&disk_sinks);
   db->buffer->set_listener(&publisher);
   RunResult result;
   if (object_cache != nullptr) {

@@ -54,6 +54,7 @@
 
 #include "bench_util.h"
 #include "obs/flight_recorder.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "service/query_service.h"
 #include "storage/async_disk.h"
@@ -198,13 +199,12 @@ MergedRun RunMerged(AcobDatabase* db, const Flags& flags,
   // with the originating query's context current, so every slice carries a
   // query-id tag.
   std::unique_ptr<obs::TraceRecorder> recorder;
-  std::unique_ptr<service::LockedTelemetry> telemetry;
+  obs::TelemetryHub telemetry;
   if (capture && !flags.trace_path.empty()) {
     recorder = std::make_unique<obs::TraceRecorder>();
-    telemetry = std::make_unique<service::LockedTelemetry>(recorder.get(),
-                                                           recorder.get());
-    db->disk->set_listener(telemetry.get());
-    pool.set_listener(telemetry.get());
+    telemetry.Add(recorder.get());
+    db->disk->set_listener(&telemetry);
+    pool.set_listener(&telemetry);
   }
   auto start = std::chrono::steady_clock::now();
   {

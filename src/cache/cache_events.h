@@ -3,8 +3,8 @@
 // mirroring DiskEventListener / BufferEventListener.
 //
 // All callbacks fire under the cache's internal mutex; listeners must not
-// call back into the cache.  The service layer serializes listeners shared
-// with other event sources through LockedTelemetry, like the disk hooks.
+// call back into the cache.  Sinks shared with other event sources go
+// behind one obs::TelemetryHub, which serializes them.
 
 #ifndef COBRA_CACHE_CACHE_EVENTS_H_
 #define COBRA_CACHE_CACHE_EVENTS_H_
@@ -18,16 +18,16 @@ class CacheEventListener {
  public:
   virtual ~CacheEventListener() = default;
   // A lookup found the assembled object resident.
-  virtual void OnCacheHit(Oid root) {}
+  virtual void OnCacheHit(Oid /*root*/) {}
   // A lookup missed (the caller will assemble and usually insert).
-  virtual void OnCacheMiss(Oid root) {}
+  virtual void OnCacheMiss(Oid /*root*/) {}
   // A committed write to `page` dropped the entry rooted at `root`.
-  virtual void OnCacheInvalidate(Oid root, PageId page) {}
+  virtual void OnCacheInvalidate(Oid /*root*/, PageId /*page*/) {}
   // A committed scalar update to `oid` (stored on `page`) was patched into
   // the resident copies instead of invalidating them.
-  virtual void OnCachePatch(Oid oid, PageId page) {}
+  virtual void OnCachePatch(Oid /*oid*/, PageId /*page*/) {}
   // Replacement evicted the entry rooted at `root` to make room.
-  virtual void OnCacheEvict(Oid root) {}
+  virtual void OnCacheEvict(Oid /*root*/) {}
 };
 
 }  // namespace cobra::cache

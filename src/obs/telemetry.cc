@@ -78,41 +78,10 @@ void RegistryPublisher::OnEvent(const AssemblyEvent& event) {
   last_assembly_ns_ = clock_->NowNanos();
 }
 
-void RegistryPublisher::OnDiskRead(PageId, uint64_t seek_pages) {
-  disk_reads_->Inc();
-  seek_distance_->Add(seek_pages);
-  // Once coalescing has appeared, single-page transfers contribute to the
-  // run-length mix too, so io.pages_per_read reflects the whole read stream.
-  if (io_pages_per_read_ != nullptr) {
-    io_pages_per_read_->Add(1);
-  }
-}
-
 void RegistryPublisher::BindRunInstruments() {
   io_coalesced_runs_ = registry_->GetCounter("io.coalesced_runs");
   io_run_length_ = registry_->GetHistogram("io.run_length");
   io_pages_per_read_ = registry_->GetHistogram("io.pages_per_read");
-}
-
-void RegistryPublisher::OnDiskReadRun(PageId, size_t pages,
-                                      uint64_t seek_pages) {
-  disk_reads_->Inc();
-  seek_distance_->Add(seek_pages);
-  if (pages >= 2) {
-    if (io_coalesced_runs_ == nullptr) {
-      BindRunInstruments();
-    }
-    io_coalesced_runs_->Inc();
-    io_run_length_->Add(static_cast<uint64_t>(pages));
-  }
-  if (io_pages_per_read_ != nullptr) {
-    io_pages_per_read_->Add(static_cast<uint64_t>(pages));
-  }
-}
-
-void RegistryPublisher::OnDiskWrite(PageId, uint64_t seek_pages) {
-  disk_writes_->Inc();
-  write_seek_distance_->Add(seek_pages);
 }
 
 void RegistryPublisher::BindSpindleTracking() {
@@ -144,44 +113,36 @@ void RegistryPublisher::EnsureSpindleSlot(uint32_t spindle) {
   }
 }
 
-void RegistryPublisher::OnDiskReadAt(uint32_t spindle, PageId page,
-                                     uint64_t seek_pages) {
-  if (spindle > 0 && !spindle_tracking_) {
+void RegistryPublisher::OnDiskIo(const IoEvent& event) {
+  if (event.spindle > 0 && !spindle_tracking_) {
     BindSpindleTracking();
   }
-  OnDiskRead(page, seek_pages);
+  if (event.is_read()) {
+    disk_reads_->Inc();
+    seek_distance_->Add(event.seek_pages);
+    if (event.pages >= 2) {
+      if (io_coalesced_runs_ == nullptr) {
+        BindRunInstruments();
+      }
+      io_coalesced_runs_->Inc();
+      io_run_length_->Add(static_cast<uint64_t>(event.pages));
+    }
+    if (io_pages_per_read_ != nullptr) {
+      io_pages_per_read_->Add(static_cast<uint64_t>(event.pages));
+    }
+  } else {
+    disk_writes_->Inc();
+    write_seek_distance_->Add(event.seek_pages);
+  }
   if (spindle_tracking_) {
-    EnsureSpindleSlot(spindle);
-    spindle_reads_[spindle]->Inc();
-    spindle_read_seek_[spindle]->Inc(seek_pages);
-  }
-}
-
-void RegistryPublisher::OnDiskWriteAt(uint32_t spindle, PageId page,
-                                      uint64_t seek_pages) {
-  if (spindle > 0 && !spindle_tracking_) {
-    BindSpindleTracking();
-  }
-  OnDiskWrite(page, seek_pages);
-  if (spindle_tracking_) {
-    EnsureSpindleSlot(spindle);
-    spindle_writes_[spindle]->Inc();
-    spindle_write_seek_[spindle]->Inc(seek_pages);
-  }
-}
-
-void RegistryPublisher::OnDiskReadRunAt(uint32_t spindle, PageId first_page,
-                                        size_t pages, uint64_t seek_pages) {
-  if (spindle > 0 && !spindle_tracking_) {
-    BindSpindleTracking();
-  }
-  OnDiskReadRun(first_page, pages, seek_pages);
-  if (spindle_tracking_) {
-    // A run is reported once, from its entry spindle, like the global
-    // disk.reads sample it produced.
-    EnsureSpindleSlot(spindle);
-    spindle_reads_[spindle]->Inc();
-    spindle_read_seek_[spindle]->Inc(seek_pages);
+    EnsureSpindleSlot(event.spindle);
+    if (event.is_read()) {
+      spindle_reads_[event.spindle]->Inc();
+      spindle_read_seek_[event.spindle]->Inc(event.seek_pages);
+    } else {
+      spindle_writes_[event.spindle]->Inc();
+      spindle_write_seek_[event.spindle]->Inc(event.seek_pages);
+    }
   }
 }
 

@@ -21,15 +21,21 @@
 //               assembly.fetch_latency_ns
 //
 // TelemetryHub fans one hook slot out to any number of sinks, so a bench
-// can attach a RegistryPublisher *and* a TraceRecorder to the same disk.
+// can attach a RegistryPublisher *and* a TraceRecorder to the same disk.  It
+// serializes every event under one mutex, so sinks that are not thread-safe
+// themselves can be shared by the service's workers, the per-spindle I/O
+// threads and the group-commit daemon.
 
 #ifndef COBRA_OBS_TELEMETRY_H_
 #define COBRA_OBS_TELEMETRY_H_
 
+#include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "assembly/assembly_operator.h"
 #include "buffer/buffer_manager.h"
+#include "cache/cache_events.h"
 #include "obs/clock.h"
 #include "obs/registry.h"
 #include "storage/disk.h"
@@ -48,30 +54,19 @@ class RegistryPublisher : public AssemblyObserver,
                              const Clock* clock = nullptr);
 
   void OnEvent(const AssemblyEvent& event) override;
-  void OnDiskRead(PageId page, uint64_t seek_pages) override;
-  // Vectored reads keep disk.reads / disk.seek_distance comparable to the
-  // single-page regime (one read, one seek sample per transfer) and, once a
-  // multi-page run is seen, additionally publish io.coalesced_runs,
-  // io.run_length and io.pages_per_read.  The io.* instruments bind lazily
-  // on the first >= 2 page run so workloads that never coalesce produce
-  // output bit-identical to the pre-vectored registry.
-  void OnDiskReadRun(PageId first_page, size_t pages,
-                     uint64_t seek_pages) override;
-  void OnDiskWrite(PageId page, uint64_t seek_pages) override;
-  // Spindle-dimensioned forms (what a disk actually fires).  They forward
-  // to the legacy hooks for the global instruments, then track per-spindle
-  // disk.s<k>.{reads,writes,read_seek_pages,write_seek_pages} counters.
-  // The per-spindle instruments bind lazily on the first event from a
-  // spindle > 0 — a single-spindle run keeps the historical registry shape
-  // bit-identical — and spindle 0 is backfilled from the already-bound
-  // global instruments at that moment (every earlier event was spindle 0),
-  // so the per-spindle sums equal the globals exactly from the start.
-  void OnDiskReadAt(uint32_t spindle, PageId page,
-                    uint64_t seek_pages) override;
-  void OnDiskWriteAt(uint32_t spindle, PageId page,
-                     uint64_t seek_pages) override;
-  void OnDiskReadRunAt(uint32_t spindle, PageId first_page, size_t pages,
-                       uint64_t seek_pages) override;
+  // One disk.reads / disk.seek_distance sample per read transfer and one
+  // disk.writes / disk.write_seek_distance sample per write, whatever the
+  // run length.  Two groups of instruments bind lazily so that workloads
+  // without the feature keep the historical registry shape bit-identical:
+  //   * io.coalesced_runs, io.run_length and io.pages_per_read bind on the
+  //     first read of >= 2 pages; from then on every read also feeds
+  //     io.pages_per_read;
+  //   * disk.s<k>.{reads,writes,read_seek_pages,write_seek_pages} bind on
+  //     the first event from a spindle > 0.  Spindle 0 is backfilled from
+  //     the global instruments at that moment (every earlier event was
+  //     spindle 0), so the per-spindle sums equal the globals from the
+  //     start.  A run is counted once, on its entry spindle.
+  void OnDiskIo(const IoEvent& event) override;
   void OnDiskFault(PageId page, FaultKind kind) override;
   void OnBufferHit(PageId page) override;
   void OnBufferFault(PageId page) override;
@@ -83,12 +78,12 @@ class RegistryPublisher : public AssemblyObserver,
   // flush so WAL-free runs keep the historical registry shape.  Fired by
   // the group-commit daemon thread: like every publisher hook, calls must
   // be externally serialized against other registry users (see
-  // service::LockedTelemetry).
+  // TelemetryHub).
   void OnWalFlush(wal::Lsn durable_lsn, size_t pages, size_t bytes,
                   size_t records) override;
 
  private:
-  // Creates the io.* instruments on first use (see OnDiskReadRun).
+  // Creates the io.* instruments on first use (see OnDiskIo).
   void BindRunInstruments();
 
   // Starts per-spindle tracking: backfills spindle 0 from the global
@@ -137,7 +132,7 @@ class RegistryPublisher : public AssemblyObserver,
   Histogram* io_pages_per_read_ = nullptr;
 
   // Lazily bound per-spindle counters, indexed by spindle; empty until the
-  // first event from a spindle > 0 (see OnDiskReadAt).
+  // first event from a spindle > 0 (see OnDiskIo).
   bool spindle_tracking_ = false;
   std::vector<Counter*> spindle_reads_;
   std::vector<Counter*> spindle_writes_;
@@ -155,111 +150,108 @@ class RegistryPublisher : public AssemblyObserver,
   bool saw_assembly_event_ = false;
 };
 
-// Forwards each event to every registered sink, in registration order.
+// Forwards each event to every registered sink, in registration order,
+// under one mutex.  Register every sink before attaching the hub to an
+// event source: Add itself is not synchronized with events.
 class TelemetryHub : public AssemblyObserver,
                      public DiskEventListener,
                      public BufferEventListener,
-                     public wal::WalEventListener {
+                     public wal::WalEventListener,
+                     public cache::CacheEventListener {
  public:
-  void AddAssemblyObserver(AssemblyObserver* observer) {
-    assembly_.push_back(observer);
-  }
-  void AddDiskListener(DiskEventListener* listener) {
-    disk_.push_back(listener);
-  }
-  void AddBufferListener(BufferEventListener* listener) {
-    buffer_.push_back(listener);
-  }
-  void AddWalListener(wal::WalEventListener* listener) {
-    wal_.push_back(listener);
-  }
-  // Registers a sink with every interface it implements.
-  void Add(RegistryPublisher* publisher) {
-    AddAssemblyObserver(publisher);
-    AddDiskListener(publisher);
-    AddBufferListener(publisher);
-    AddWalListener(publisher);
+  // Registers `sink` with every hook interface it implements.
+  template <typename Sink>
+  void Add(Sink* sink) {
+    if constexpr (std::is_base_of_v<AssemblyObserver, Sink>) {
+      assembly_.push_back(sink);
+    }
+    if constexpr (std::is_base_of_v<DiskEventListener, Sink>) {
+      disk_.push_back(sink);
+    }
+    if constexpr (std::is_base_of_v<BufferEventListener, Sink>) {
+      buffer_.push_back(sink);
+    }
+    if constexpr (std::is_base_of_v<wal::WalEventListener, Sink>) {
+      wal_.push_back(sink);
+    }
+    if constexpr (std::is_base_of_v<cache::CacheEventListener, Sink>) {
+      cache_.push_back(sink);
+    }
   }
 
   void OnEvent(const AssemblyEvent& event) override {
-    for (AssemblyObserver* observer : assembly_) observer->OnEvent(event);
+    Forward(assembly_, [&](AssemblyObserver* s) { s->OnEvent(event); });
   }
-  void OnDiskRead(PageId page, uint64_t seek_pages) override {
-    for (DiskEventListener* listener : disk_) {
-      listener->OnDiskRead(page, seek_pages);
-    }
-  }
-  void OnDiskReadRun(PageId first_page, size_t pages,
-                     uint64_t seek_pages) override {
-    for (DiskEventListener* listener : disk_) {
-      listener->OnDiskReadRun(first_page, pages, seek_pages);
-    }
-  }
-  void OnDiskWrite(PageId page, uint64_t seek_pages) override {
-    for (DiskEventListener* listener : disk_) {
-      listener->OnDiskWrite(page, seek_pages);
-    }
-  }
-  // The At-forms forward as At-forms so spindle-aware sinks see the spindle
-  // and spindle-unaware ones fall through their own defaults.
-  void OnDiskReadAt(uint32_t spindle, PageId page,
-                    uint64_t seek_pages) override {
-    for (DiskEventListener* listener : disk_) {
-      listener->OnDiskReadAt(spindle, page, seek_pages);
-    }
-  }
-  void OnDiskReadRunAt(uint32_t spindle, PageId first_page, size_t pages,
-                       uint64_t seek_pages) override {
-    for (DiskEventListener* listener : disk_) {
-      listener->OnDiskReadRunAt(spindle, first_page, pages, seek_pages);
-    }
-  }
-  void OnDiskWriteAt(uint32_t spindle, PageId page,
-                     uint64_t seek_pages) override {
-    for (DiskEventListener* listener : disk_) {
-      listener->OnDiskWriteAt(spindle, page, seek_pages);
-    }
+  void OnDiskIo(const IoEvent& event) override {
+    Forward(disk_, [&](DiskEventListener* s) { s->OnDiskIo(event); });
   }
   void OnDiskFault(PageId page, FaultKind kind) override {
-    for (DiskEventListener* listener : disk_) {
-      listener->OnDiskFault(page, kind);
-    }
+    Forward(disk_, [&](DiskEventListener* s) { s->OnDiskFault(page, kind); });
   }
   void OnBufferHit(PageId page) override {
-    for (BufferEventListener* listener : buffer_) listener->OnBufferHit(page);
+    Forward(buffer_, [&](BufferEventListener* s) { s->OnBufferHit(page); });
   }
   void OnBufferFault(PageId page) override {
-    for (BufferEventListener* listener : buffer_) {
-      listener->OnBufferFault(page);
-    }
+    Forward(buffer_, [&](BufferEventListener* s) { s->OnBufferFault(page); });
   }
   void OnBufferEviction(PageId page, bool dirty) override {
-    for (BufferEventListener* listener : buffer_) {
-      listener->OnBufferEviction(page, dirty);
-    }
+    Forward(buffer_, [&](BufferEventListener* s) {
+      s->OnBufferEviction(page, dirty);
+    });
   }
   void OnBufferRetry(PageId page, int attempt) override {
-    for (BufferEventListener* listener : buffer_) {
-      listener->OnBufferRetry(page, attempt);
-    }
+    Forward(buffer_, [&](BufferEventListener* s) {
+      s->OnBufferRetry(page, attempt);
+    });
   }
   void OnBufferChecksumFailure(PageId page) override {
-    for (BufferEventListener* listener : buffer_) {
-      listener->OnBufferChecksumFailure(page);
-    }
+    Forward(buffer_, [&](BufferEventListener* s) {
+      s->OnBufferChecksumFailure(page);
+    });
   }
   void OnWalFlush(wal::Lsn durable_lsn, size_t pages, size_t bytes,
                   size_t records) override {
-    for (wal::WalEventListener* listener : wal_) {
-      listener->OnWalFlush(durable_lsn, pages, bytes, records);
-    }
+    Forward(wal_, [&](wal::WalEventListener* s) {
+      s->OnWalFlush(durable_lsn, pages, bytes, records);
+    });
+  }
+  void OnCacheHit(Oid root) override {
+    Forward(cache_, [&](cache::CacheEventListener* s) { s->OnCacheHit(root); });
+  }
+  void OnCacheMiss(Oid root) override {
+    Forward(cache_,
+            [&](cache::CacheEventListener* s) { s->OnCacheMiss(root); });
+  }
+  void OnCacheInvalidate(Oid root, PageId page) override {
+    Forward(cache_, [&](cache::CacheEventListener* s) {
+      s->OnCacheInvalidate(root, page);
+    });
+  }
+  void OnCachePatch(Oid oid, PageId page) override {
+    Forward(cache_, [&](cache::CacheEventListener* s) {
+      s->OnCachePatch(oid, page);
+    });
+  }
+  void OnCacheEvict(Oid root) override {
+    Forward(cache_,
+            [&](cache::CacheEventListener* s) { s->OnCacheEvict(root); });
   }
 
  private:
+  template <typename Sink, typename Fn>
+  void Forward(const std::vector<Sink*>& sinks, Fn&& fn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Sink* sink : sinks) fn(sink);
+  }
+
+  // Held across every sink call: the sinks' own state is what it guards.
+  // The lists below are fixed before the hub is attached.
+  std::mutex mu_;
   std::vector<AssemblyObserver*> assembly_;
   std::vector<DiskEventListener*> disk_;
   std::vector<BufferEventListener*> buffer_;
   std::vector<wal::WalEventListener*> wal_;
+  std::vector<cache::CacheEventListener*> cache_;
 };
 
 }  // namespace cobra::obs

@@ -131,75 +131,17 @@ void TraceRecorder::OnEvent(const AssemblyEvent& event) {
   Push(out);
 }
 
-void TraceRecorder::OnDiskRead(PageId page, uint64_t seek_pages) {
+void TraceRecorder::OnDiskIo(const IoEvent& event) {
+  if (event.spindle > 0) saw_multi_spindle_ = true;
   TraceEvent out;
-  out.kind = TraceEvent::Kind::kDiskRead;
+  out.kind = event.is_read() ? TraceEvent::Kind::kDiskRead
+                             : TraceEvent::Kind::kDiskWrite;
   out.ts_ns = clock_->NowNanos();
-  out.page = page;
-  out.seek_pages = seek_pages;
+  out.page = event.entry;
+  out.seek_pages = event.seek_pages;
+  out.run_pages = event.pages;
   out.query_id = CurrentQueryId();
-  Push(out);
-}
-
-void TraceRecorder::OnDiskReadRun(PageId first_page, size_t pages,
-                                  uint64_t seek_pages) {
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kDiskRead;
-  out.ts_ns = clock_->NowNanos();
-  out.page = first_page;
-  out.seek_pages = seek_pages;
-  out.run_pages = pages == 0 ? 1 : pages;
-  out.query_id = CurrentQueryId();
-  Push(out);
-}
-
-void TraceRecorder::OnDiskWrite(PageId page, uint64_t seek_pages) {
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kDiskWrite;
-  out.ts_ns = clock_->NowNanos();
-  out.page = page;
-  out.seek_pages = seek_pages;
-  out.query_id = CurrentQueryId();
-  Push(out);
-}
-
-void TraceRecorder::OnDiskReadAt(uint32_t spindle, PageId page,
-                                 uint64_t seek_pages) {
-  if (spindle > 0) saw_multi_spindle_ = true;
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kDiskRead;
-  out.ts_ns = clock_->NowNanos();
-  out.page = page;
-  out.seek_pages = seek_pages;
-  out.query_id = CurrentQueryId();
-  out.spindle = spindle;
-  Push(out);
-}
-
-void TraceRecorder::OnDiskReadRunAt(uint32_t spindle, PageId first_page,
-                                    size_t pages, uint64_t seek_pages) {
-  if (spindle > 0) saw_multi_spindle_ = true;
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kDiskRead;
-  out.ts_ns = clock_->NowNanos();
-  out.page = first_page;
-  out.seek_pages = seek_pages;
-  out.run_pages = pages == 0 ? 1 : pages;
-  out.query_id = CurrentQueryId();
-  out.spindle = spindle;
-  Push(out);
-}
-
-void TraceRecorder::OnDiskWriteAt(uint32_t spindle, PageId page,
-                                  uint64_t seek_pages) {
-  if (spindle > 0) saw_multi_spindle_ = true;
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kDiskWrite;
-  out.ts_ns = clock_->NowNanos();
-  out.page = page;
-  out.seek_pages = seek_pages;
-  out.query_id = CurrentQueryId();
-  out.spindle = spindle;
+  out.spindle = event.spindle;
   Push(out);
 }
 

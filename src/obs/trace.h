@@ -95,19 +95,10 @@ class TraceRecorder : public AssemblyObserver,
 
   // AssemblyObserver.
   void OnEvent(const AssemblyEvent& event) override;
-  // DiskEventListener.  The At-forms stamp the serving spindle on the
-  // event; disk slices gain a "spindle" arg once any event arrives from a
-  // spindle > 0 (single-spindle traces keep their historical shape).
-  void OnDiskRead(PageId page, uint64_t seek_pages) override;
-  void OnDiskReadRun(PageId first_page, size_t pages,
-                     uint64_t seek_pages) override;
-  void OnDiskWrite(PageId page, uint64_t seek_pages) override;
-  void OnDiskReadAt(uint32_t spindle, PageId page,
-                    uint64_t seek_pages) override;
-  void OnDiskReadRunAt(uint32_t spindle, PageId first_page, size_t pages,
-                       uint64_t seek_pages) override;
-  void OnDiskWriteAt(uint32_t spindle, PageId page,
-                     uint64_t seek_pages) override;
+  // DiskEventListener.  Stamps the serving spindle on the event; disk
+  // slices gain a "spindle" arg once any event arrives from a spindle > 0
+  // (single-spindle traces keep their historical shape).
+  void OnDiskIo(const IoEvent& event) override;
   // BufferEventListener.
   void OnBufferHit(PageId page) override;
   void OnBufferFault(PageId page) override;

@@ -10,6 +10,7 @@
 #include "exec/scan.h"
 #include "exec/value.h"
 #include "object/object_store.h"
+#include "obs/telemetry.h"
 
 namespace cobra::service {
 namespace {

@@ -51,7 +51,6 @@
 
 #include "assembly/assembly_operator.h"
 #include "buffer/buffer_manager.h"
-#include "cache/cache_events.h"
 #include "common/status.h"
 #include "exec/iterator.h"
 #include "file/heap_file.h"
@@ -61,7 +60,6 @@
 #include "obs/query_context.h"
 #include "obs/registry.h"
 #include "obs/snapshot.h"
-#include "obs/telemetry.h"
 #include "storage/async_disk.h"
 #include "wal/wal.h"
 
@@ -70,90 +68,6 @@ class ObjectCache;
 }  // namespace cobra::cache
 
 namespace cobra::service {
-
-// Thread-safe fan-in for the shared disk/buffer event hooks: serializes
-// concurrent publishers onto one inner listener (e.g. a RegistryPublisher)
-// with a mutex.  Attach to SimulatedDisk/BufferManager when multiple service
-// workers run; the single-client benches keep using their listener directly.
-class LockedTelemetry : public DiskEventListener,
-                        public BufferEventListener,
-                        public wal::WalEventListener,
-                        public cache::CacheEventListener {
- public:
-  LockedTelemetry(DiskEventListener* disk, BufferEventListener* buffer,
-                  wal::WalEventListener* wal = nullptr,
-                  cache::CacheEventListener* cache = nullptr)
-      : disk_(disk), buffer_(buffer), wal_(wal), cache_(cache) {}
-
-  void OnDiskRead(PageId page, uint64_t seek_pages) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (disk_ != nullptr) disk_->OnDiskRead(page, seek_pages);
-  }
-  void OnDiskWrite(PageId page, uint64_t seek_pages) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (disk_ != nullptr) disk_->OnDiskWrite(page, seek_pages);
-  }
-  void OnDiskFault(PageId page, FaultKind kind) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (disk_ != nullptr) disk_->OnDiskFault(page, kind);
-  }
-  void OnBufferHit(PageId page) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (buffer_ != nullptr) buffer_->OnBufferHit(page);
-  }
-  void OnBufferFault(PageId page) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (buffer_ != nullptr) buffer_->OnBufferFault(page);
-  }
-  void OnBufferEviction(PageId page, bool dirty) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (buffer_ != nullptr) buffer_->OnBufferEviction(page, dirty);
-  }
-  void OnBufferRetry(PageId page, int attempt) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (buffer_ != nullptr) buffer_->OnBufferRetry(page, attempt);
-  }
-  void OnBufferChecksumFailure(PageId page) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (buffer_ != nullptr) buffer_->OnBufferChecksumFailure(page);
-  }
-  // Fired by the group-commit daemon thread; serialized onto the same
-  // inner sink as the disk/buffer events.
-  void OnWalFlush(wal::Lsn durable_lsn, size_t pages, size_t bytes,
-                  size_t records) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (wal_ != nullptr) wal_->OnWalFlush(durable_lsn, pages, bytes, records);
-  }
-  // Object-cache events arrive from every worker (lookups) and from writer
-  // threads (invalidations); serialized onto the same inner sink.
-  void OnCacheHit(Oid root) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cache_ != nullptr) cache_->OnCacheHit(root);
-  }
-  void OnCacheMiss(Oid root) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cache_ != nullptr) cache_->OnCacheMiss(root);
-  }
-  void OnCacheInvalidate(Oid root, PageId page) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cache_ != nullptr) cache_->OnCacheInvalidate(root, page);
-  }
-  void OnCachePatch(Oid oid, PageId page) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cache_ != nullptr) cache_->OnCachePatch(oid, page);
-  }
-  void OnCacheEvict(Oid root) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cache_ != nullptr) cache_->OnCacheEvict(root);
-  }
-
- private:
-  std::mutex mu_;
-  DiskEventListener* disk_;
-  BufferEventListener* buffer_;
-  wal::WalEventListener* wal_;
-  cache::CacheEventListener* cache_;
-};
 
 // One assembly query: assemble `roots` with `tmpl` under `assembly` options.
 // `client` names the submitter for per-client metrics.

@@ -130,11 +130,11 @@ uint64_t SimulatedDisk::ChargeSeek(PageId id, bool is_read) {
   sp.head_page.store(id, std::memory_order_relaxed);
   head_.store(id, std::memory_order_relaxed);
   if (listener_ != nullptr) {
-    if (is_read) {
-      listener_->OnDiskReadAt(slot.spindle, id, distance);
-    } else {
-      listener_->OnDiskWriteAt(slot.spindle, id, distance);
-    }
+    listener_->OnDiskIo({.kind = is_read ? IoEvent::Kind::kRead
+                                         : IoEvent::Kind::kWrite,
+                         .spindle = slot.spindle,
+                         .entry = id,
+                         .seek_pages = distance});
   }
   return distance;
 }
@@ -272,8 +272,12 @@ RunReadResult SimulatedDisk::ReadRun(PageId first, size_t n, bool ascending,
                      transferred});
     }
     if (listener_ != nullptr) {
-      listener_->OnDiskReadRunAt(ResolveSlot(entry).spindle, entry,
-                                 transferred, travel);
+      listener_->OnDiskIo({.kind = IoEvent::Kind::kRead,
+                           .spindle = ResolveSlot(entry).spindle,
+                           .entry = entry,
+                           .pages = transferred,
+                           .ascending = ascending,
+                           .seek_pages = travel});
     }
   }
   return result;

@@ -150,53 +150,55 @@ struct RunReadResult {
   Status status = Status::OK();
 };
 
-// Per-operation event hook (telemetry).  The listener fires on every page
-// read/write *after* the seek is charged; `seek_pages` is the head travel
-// the operation cost.  Implementations must not touch the disk re-entrantly.
-//
-// Spindle dimension: the disk always fires the ...At forms, which carry the
-// serving spindle.  Their defaults forward to the historical hooks, so
-// spindle-unaware listeners keep working unchanged (and on a 1-spindle
-// device the spindle argument is always 0).
+// One disk transfer, as the listener sees it: which spindle served it, which
+// pages moved in which direction, and how far the arm travelled.  A
+// single-page ReadPage/WritePage is a run of 1.  A ReadRun transfer reports
+// the pages that actually moved (a fault or missing page cuts the run), and
+// on an array a run that crosses a stripe seam is reported once, from its
+// entry page's spindle.
+struct IoEvent {
+  enum class Kind : uint8_t { kRead, kWrite };
+
+  Kind kind = Kind::kRead;
+  uint32_t spindle = 0;
+  // First page in transfer order: the lowest page of an ascending run, the
+  // highest of a descending one.
+  PageId entry = 0;
+  size_t pages = 1;
+  bool ascending = true;
+  // Total arm travel of the transfer (positioning seek plus one page per
+  // further page).
+  uint64_t seek_pages = 0;
+
+  bool is_read() const { return kind == Kind::kRead; }
+  // The i-th page in transfer order, 0 <= i < pages.
+  PageId PageAt(size_t i) const { return ascending ? entry + i : entry - i; }
+};
+
+// Telemetry hook: the disk fires OnDiskIo once per transfer, after the seek
+// is charged, and OnDiskFault when a fault-injecting disk sabotages a read.
+// Implementations must not touch the disk re-entrantly.
 class DiskEventListener {
  public:
   virtual ~DiskEventListener() = default;
-  virtual void OnDiskRead(PageId page, uint64_t seek_pages) = 0;
-  virtual void OnDiskWrite(PageId page, uint64_t seek_pages) = 0;
-  // Fired once per ReadRun transfer that moved data: `first_page` is the
-  // entry page (first in transfer order), `pages` the number of pages moved,
-  // `seek_pages` the total head travel of the transfer.  Default forwards to
-  // OnDiskRead so run-unaware listeners keep counting one event per transfer
-  // with the full seek cost — exactly what they saw before vectored I/O.
-  virtual void OnDiskReadRun(PageId first_page, size_t pages,
-                             uint64_t seek_pages) {
-    (void)pages;
+  // The default routes to the three hooks below, which perfbench's counting
+  // listener still overrides; in-tree sinks override this one instead.
+  virtual void OnDiskIo(const IoEvent& event) {
+    if (event.is_read()) {
+      OnDiskReadRun(event.entry, event.pages, event.seek_pages);
+    } else {
+      OnDiskWrite(event.entry, event.seek_pages);
+    }
+  }
+  // Default no-op so sinks that ignore faults need no override.
+  virtual void OnDiskFault(PageId, FaultKind) {}
+
+  // Kept only for perfbench/src/layers.h, which cannot change outside a
+  // benchmark change; drop all three with it (see ROADMAP.md).
+  virtual void OnDiskRead(PageId, uint64_t) {}
+  virtual void OnDiskWrite(PageId, uint64_t) {}
+  virtual void OnDiskReadRun(PageId first_page, size_t, uint64_t seek_pages) {
     OnDiskRead(first_page, seek_pages);
-  }
-  // Spindle-carrying forms; the disk calls only these.
-  virtual void OnDiskReadAt(uint32_t spindle, PageId page,
-                            uint64_t seek_pages) {
-    (void)spindle;
-    OnDiskRead(page, seek_pages);
-  }
-  virtual void OnDiskWriteAt(uint32_t spindle, PageId page,
-                             uint64_t seek_pages) {
-    (void)spindle;
-    OnDiskWrite(page, seek_pages);
-  }
-  // `spindle` is the entry page's spindle (a run that crosses a stripe seam
-  // at the device level is accounted per segment internally, but reported
-  // once, from its entry).
-  virtual void OnDiskReadRunAt(uint32_t spindle, PageId first_page,
-                               size_t pages, uint64_t seek_pages) {
-    (void)spindle;
-    OnDiskReadRun(first_page, pages, seek_pages);
-  }
-  // Fired by a fault-injecting disk when a read is sabotaged.  Default
-  // no-op so existing listeners need no change.
-  virtual void OnDiskFault(PageId page, FaultKind kind) {
-    (void)page;
-    (void)kind;
   }
 };
 

@@ -177,28 +177,22 @@ class AffinitySketch {
   uint64_t decays_ = 0;
 };
 
-// Feeds the sketch from the disk's event stream.  Attach as (or tee into)
-// the disk listener; thread-safe.
+// Feeds the sketch from the disk's event stream.  Attach it as the disk
+// listener, or add it to an obs::TelemetryHub next to other sinks;
+// thread-safe.
 class AffinityDiskListener : public DiskEventListener {
  public:
   AffinityDiskListener(AffinitySketch* sketch,
                        const PageForwarding* forwarding)
       : sketch_(sketch), forwarding_(forwarding) {}
 
-  void OnDiskRead(PageId page, uint64_t seek_pages) override {
-    Observe(page, seek_pages, 1);
-  }
-  void OnDiskReadRun(PageId first_page, size_t pages,
-                     uint64_t seek_pages) override {
-    // Every page of a vectored transfer is a proven-contiguous co-access;
-    // the seek cost belongs to reaching the entry page only.
-    for (size_t i = 0; i < pages; ++i) {
-      Observe(first_page + i, i == 0 ? seek_pages : 0, pages);
+  // Every page of a vectored transfer is a proven-contiguous co-access, in
+  // transfer order; the seek cost belongs to reaching the entry page only.
+  void OnDiskIo(const IoEvent& event) override {
+    if (!event.is_read()) return;
+    for (size_t i = 0; i < event.pages; ++i) {
+      Observe(event.PageAt(i), i == 0 ? event.seek_pages : 0, event.pages);
     }
-  }
-  void OnDiskWrite(PageId page, uint64_t seek_pages) override {
-    (void)page;
-    (void)seek_pages;
   }
 
  private:

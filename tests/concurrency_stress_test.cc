@@ -16,6 +16,9 @@
 #include <vector>
 
 #include "buffer/buffer_manager.h"
+#include "obs/registry.h"
+#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "service/query_service.h"
 #include "storage/async_disk.h"
 #include "storage/checksum.h"
@@ -144,6 +147,47 @@ TEST(ShardedPoolStress, EvictionPressureWithDirtyWritebacks) {
     ASSERT_TRUE(guard.ok());
     EXPECT_EQ(guard->data()[kMarker], std::byte{static_cast<uint8_t>(p)});
   }
+}
+
+// One hub shared by the disk and every pool shard: its lock is all that
+// serializes the registry publisher and the trace recorder, neither of
+// which is thread-safe on its own, and no event may be lost.
+TEST(TelemetryHubStress, SharedSinksSeeEveryEventFromEveryShard) {
+  constexpr size_t kPages = 256;
+  SimulatedDisk disk;
+  WriteStampedPages(&disk, kPages);
+  disk.ResetStats();
+
+  obs::Registry registry;
+  obs::RegistryPublisher publisher(&registry);
+  obs::TraceRecorder recorder(nullptr, 1 << 20);
+  obs::TelemetryHub hub;
+  hub.Add(&publisher);
+  hub.Add(&recorder);
+  BufferManager pool(&disk, BufferOptions{.num_frames = 32,
+                                          .num_shards = kThreads});
+  disk.set_listener(&hub);
+  pool.set_listener(&hub);
+  std::atomic<uint64_t> hard_failures{0};
+  uint64_t successes = HammerPool(&pool, kPages, 600, &hard_failures);
+  EXPECT_TRUE(pool.FlushAll().ok());
+  disk.set_listener(nullptr);
+  pool.set_listener(nullptr);
+
+  EXPECT_EQ(hard_failures.load(), 0u);
+  auto counter = [&](const char* name) {
+    const obs::Counter* c = registry.FindCounter(name);
+    return c == nullptr ? uint64_t{0} : c->value();
+  };
+  const BufferStats stats = pool.stats();
+  EXPECT_EQ(counter("buffer.hits") + counter("buffer.faults"), successes);
+  EXPECT_EQ(counter("buffer.evictions"), stats.evictions);
+  EXPECT_EQ(counter("disk.reads"), disk.stats().reads);
+  EXPECT_EQ(counter("disk.writes"), disk.stats().writes);
+  EXPECT_GT(disk.stats().writes, 0u);
+  EXPECT_EQ(recorder.dropped(), 0u);
+  EXPECT_EQ(recorder.size(), successes + stats.evictions +
+                                 disk.stats().reads + disk.stats().writes);
 }
 
 TEST(AsyncDiskStress, ConcurrentSubmittersSeeTheirOwnData) {

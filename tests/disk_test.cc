@@ -169,7 +169,8 @@ TEST(SeekHelperTest, ScanNextDownSweepTakesHighestBelowHead) {
   EXPECT_TRUE(up);
 }
 
-// Captures run events for the vectored-read listener tests.
+// Captures run events through the three compat hooks a listener outside
+// src/ may still override instead of OnDiskIo.
 struct RunCapture : DiskEventListener {
   struct Event {
     PageId first = kInvalidPageId;
@@ -178,15 +179,24 @@ struct RunCapture : DiskEventListener {
   };
   std::vector<Event> runs;
   std::vector<Event> singles;
+  std::vector<Event> writes;
 
   void OnDiskRead(PageId page, uint64_t seek_pages) override {
     singles.push_back({page, 1, seek_pages});
   }
-  void OnDiskWrite(PageId, uint64_t) override {}
+  void OnDiskWrite(PageId page, uint64_t seek_pages) override {
+    writes.push_back({page, 1, seek_pages});
+  }
   void OnDiskReadRun(PageId first_page, size_t pages,
                      uint64_t seek_pages) override {
     runs.push_back({first_page, pages, seek_pages});
   }
+};
+
+// Captures every OnDiskIo event verbatim.
+struct IoCapture : DiskEventListener {
+  std::vector<IoEvent> events;
+  void OnDiskIo(const IoEvent& event) override { events.push_back(event); }
 };
 
 TEST(DiskReadRunTest, AscendingRunChargesOneSeekPlusSequentialTransfers) {
@@ -303,6 +313,108 @@ TEST(DiskReadRunTest, ListenerSeesOneRunEventAndTraceStaysPerPage) {
   // The read trace keeps per-page granularity for the seek histogram.
   EXPECT_EQ(disk.read_trace().size(), 3u);
   disk.set_listener(nullptr);
+}
+
+TEST(DiskReadRunTest, CompatHooksSeeReadPageAsOnePageRun) {
+  SimulatedDisk disk;
+  auto page = MakePage(disk.page_size(), 3);
+  disk.ParkHead(0);
+  RunCapture capture;
+  disk.set_listener(&capture);
+  ASSERT_TRUE(disk.WritePage(4, page.data()).ok());
+  std::vector<std::byte> out(disk.page_size());
+  ASSERT_TRUE(disk.ReadPage(4, out.data()).ok());
+  disk.set_listener(nullptr);
+  ASSERT_EQ(capture.writes.size(), 1u);
+  EXPECT_EQ(capture.writes[0].first, 4u);
+  EXPECT_EQ(capture.writes[0].seek, 4u);
+  // A single-page read reaches OnDiskReadRun as a run of 1, which a
+  // listener that overrides only OnDiskRead receives through the default.
+  ASSERT_EQ(capture.runs.size(), 1u);
+  EXPECT_EQ(capture.runs[0].first, 4u);
+  EXPECT_EQ(capture.runs[0].pages, 1u);
+  EXPECT_EQ(capture.runs[0].seek, 0u);
+  EXPECT_TRUE(capture.singles.empty());
+
+  struct ReadOnly : DiskEventListener {
+    std::vector<PageId> reads;
+    void OnDiskRead(PageId page, uint64_t) override { reads.push_back(page); }
+  } read_only;
+  disk.set_listener(&read_only);
+  ASSERT_TRUE(disk.ReadPage(4, out.data()).ok());
+  disk.set_listener(nullptr);
+  EXPECT_EQ(read_only.reads, std::vector<PageId>{4});
+}
+
+TEST(DiskIoEventTest, SinglePagesAndRunsCarryTheirTransfer) {
+  DiskOptions options;
+  options.geometry.spindles = 2;
+  options.geometry.stripe_width = 4;  // pages 0-3 on spindle 0, 4-7 on 1
+  SimulatedDisk disk(options);
+  auto page = MakePage(disk.page_size(), 9);
+  disk.ParkHead(0);
+  IoCapture capture;
+  disk.set_listener(&capture);
+  ASSERT_TRUE(disk.WritePage(5, page.data()).ok());  // spindle 1, offset 1
+  for (PageId p : {0, 1, 2, 3}) {
+    ASSERT_TRUE(disk.WritePage(p, page.data()).ok());
+  }
+  capture.events.clear();
+
+  std::vector<std::byte> out(disk.page_size());
+  ASSERT_TRUE(disk.ReadPage(5, out.data()).ok());
+  std::vector<std::vector<std::byte>> bufs(3, MakePage(disk.page_size(), 0));
+  std::vector<std::byte*> outs;
+  for (auto& b : bufs) outs.push_back(b.data());
+  disk.ParkHead(0);
+  ASSERT_TRUE(disk.ReadRun(0, 3, true, outs.data()).status.ok());
+  ASSERT_TRUE(disk.ReadRun(1, 3, false, outs.data()).status.ok());
+  disk.set_listener(nullptr);
+
+  ASSERT_EQ(capture.events.size(), 3u);
+  const IoEvent& single = capture.events[0];
+  EXPECT_TRUE(single.is_read());
+  EXPECT_EQ(single.spindle, 1u);
+  EXPECT_EQ(single.entry, 5u);
+  EXPECT_EQ(single.pages, 1u);
+  EXPECT_EQ(single.seek_pages, 0u);  // spindle 1's arm sat at offset 1
+
+  // Ascending 0,1,2 from offset 0: travel 0 + 1 + 1.
+  const IoEvent& up = capture.events[1];
+  EXPECT_TRUE(up.is_read());
+  EXPECT_EQ(up.spindle, 0u);
+  EXPECT_TRUE(up.ascending);
+  EXPECT_EQ(up.entry, 0u);
+  EXPECT_EQ(up.pages, 3u);
+  EXPECT_EQ(up.PageAt(2), 2u);
+  EXPECT_EQ(up.seek_pages, 2u);
+
+  // Descending 3,2,1 from offset 2: enters at the high end.
+  const IoEvent& down = capture.events[2];
+  EXPECT_FALSE(down.ascending);
+  EXPECT_EQ(down.entry, 3u);
+  EXPECT_EQ(down.pages, 3u);
+  EXPECT_EQ(down.PageAt(0), 3u);
+  EXPECT_EQ(down.PageAt(2), 1u);
+  EXPECT_EQ(down.seek_pages, 3u);
+}
+
+TEST(DiskIoEventTest, WriteIsARunOfOne) {
+  SimulatedDisk disk;
+  auto page = MakePage(disk.page_size(), 2);
+  disk.ParkHead(10);
+  IoCapture capture;
+  disk.set_listener(&capture);
+  ASSERT_TRUE(disk.WritePage(7, page.data()).ok());
+  disk.set_listener(nullptr);
+  ASSERT_EQ(capture.events.size(), 1u);
+  const IoEvent& write = capture.events[0];
+  EXPECT_FALSE(write.is_read());
+  EXPECT_EQ(write.kind, IoEvent::Kind::kWrite);
+  EXPECT_EQ(write.spindle, 0u);
+  EXPECT_EQ(write.entry, 7u);
+  EXPECT_EQ(write.pages, 1u);
+  EXPECT_EQ(write.seek_pages, 3u);
 }
 
 }  // namespace

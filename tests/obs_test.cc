@@ -102,8 +102,8 @@ TEST_F(ObsTest, TraceEventOrderingPerComplexObject) {
   ClockTicker ticker(&clock);
   obs::TraceRecorder recorder(&clock);
   obs::TelemetryHub hub;
-  hub.AddAssemblyObserver(&ticker);  // tick first, then record
-  hub.AddAssemblyObserver(&recorder);
+  hub.Add(&ticker);  // tick first, then record
+  hub.Add(&recorder);
 
   std::vector<Row> rows;
   for (Oid oid : roots) rows.push_back(Row{Value::Ref(oid)});
@@ -153,8 +153,8 @@ TEST_F(ObsTest, TraceLanesBoundedByWindow) {
   ClockTicker ticker(&clock);
   obs::TraceRecorder recorder(&clock);
   obs::TelemetryHub hub;
-  hub.AddAssemblyObserver(&ticker);
-  hub.AddAssemblyObserver(&recorder);
+  hub.Add(&ticker);
+  hub.Add(&recorder);
   std::vector<Row> rows;
   for (Oid oid : roots) rows.push_back(Row{Value::Ref(oid)});
   AssemblyOperator op(std::make_unique<VectorScan>(rows), &tmpl, &store_,
@@ -200,8 +200,8 @@ TEST_F(ObsTest, ChromeTraceExportIsValid) {
   ClockTicker ticker(&clock);
   obs::TraceRecorder recorder(&clock);
   obs::TelemetryHub hub;
-  hub.AddAssemblyObserver(&ticker);
-  hub.AddAssemblyObserver(&recorder);
+  hub.Add(&ticker);
+  hub.Add(&recorder);
   disk_.set_listener(&recorder);
   buffer_.set_listener(&recorder);
   std::vector<Row> rows;
@@ -407,8 +407,8 @@ TEST_F(ObsTest, DiskTraceEventsCarryQueryId) {
   ClockTicker ticker(&clock);
   obs::TraceRecorder recorder(&clock);
   obs::TelemetryHub hub;
-  hub.AddAssemblyObserver(&ticker);
-  hub.AddAssemblyObserver(&recorder);
+  hub.Add(&ticker);
+  hub.Add(&recorder);
 
   // Cold pool over the same disk so the assembly actually reads pages;
   // flush *before* attaching the disk listener so the write-back noise is
@@ -475,8 +475,8 @@ TEST_F(ObsTest, ChromeTraceInstantsMonotonePerThread) {
   ClockTicker ticker(&clock);
   obs::TraceRecorder recorder(&clock);
   obs::TelemetryHub hub;
-  hub.AddAssemblyObserver(&ticker);
-  hub.AddAssemblyObserver(&recorder);
+  hub.Add(&ticker);
+  hub.Add(&recorder);
   disk_.set_listener(&recorder);
   buffer_.set_listener(&recorder);
   std::vector<Row> rows;
@@ -613,6 +613,65 @@ TEST_F(ObsTest, RegistryMergeAccumulates) {
   EXPECT_EQ(a.GetGauge("g")->max(), 10u);
   EXPECT_EQ(a.GetHistogram("h")->count(), 2u);
   EXPECT_EQ(a.GetHistogram("h")->max(), 100u);
+}
+
+// One hub in front of a trace recorder and a registry publisher on a
+// 2-spindle array: both sinks see the serving spindle and the run length.
+TEST(TelemetryHubTest, KeepsSpindleAndRunLengthForEverySink) {
+  DiskOptions options;
+  options.geometry.spindles = 2;
+  options.geometry.stripe_width = 4;  // pages 0-3 on spindle 0, 4-7 on 1
+  SimulatedDisk disk(options);
+  std::vector<std::byte> page(disk.page_size(), std::byte{7});
+  for (PageId p = 0; p < 8; ++p) {
+    ASSERT_TRUE(disk.WritePage(p, page.data()).ok());
+  }
+
+  obs::TraceRecorder recorder;
+  obs::Registry registry;
+  obs::RegistryPublisher publisher(&registry);
+  obs::TelemetryHub hub;
+  hub.Add(&recorder);
+  hub.Add(&publisher);
+  disk.set_listener(&hub);
+  // The run comes first, so the publisher backfills spindle 0 when the
+  // spindle-1 read binds the per-spindle counters.
+  std::vector<std::vector<std::byte>> bufs(
+      3, std::vector<std::byte>(disk.page_size()));
+  std::vector<std::byte*> outs;
+  for (auto& b : bufs) outs.push_back(b.data());
+  ASSERT_TRUE(disk.ReadRun(0, 3, true, outs.data()).status.ok());
+  std::vector<std::byte> out(disk.page_size());
+  ASSERT_TRUE(disk.ReadPage(5, out.data()).ok());
+  ASSERT_EQ(disk.SpindleOf(5), 1u);
+  disk.set_listener(nullptr);
+
+  bool saw_spindle1 = false;
+  bool saw_run3 = false;
+  for (const obs::TraceEvent& event : recorder.Events()) {
+    if (event.kind != obs::TraceEvent::Kind::kDiskRead) continue;
+    saw_spindle1 |= event.spindle == 1;
+    saw_run3 |= event.run_pages == 3;
+  }
+  EXPECT_TRUE(saw_spindle1);
+  EXPECT_TRUE(saw_run3);
+
+  const obs::Counter* reads = registry.FindCounter("disk.reads");
+  const obs::Counter* s1_reads = registry.FindCounter("disk.s1.reads");
+  ASSERT_NE(reads, nullptr);
+  ASSERT_NE(s1_reads, nullptr);
+  EXPECT_GT(s1_reads->value(), 0u);
+  uint64_t spindle_sum = 0;
+  for (uint32_t k = 0;; ++k) {
+    const obs::Counter* c =
+        registry.FindCounter("disk.s" + std::to_string(k) + ".reads");
+    if (c == nullptr) break;
+    spindle_sum += c->value();
+  }
+  EXPECT_EQ(spindle_sum, reads->value());
+  EXPECT_EQ(reads->value(), disk.stats().reads);
+  ASSERT_NE(registry.FindCounter("io.coalesced_runs"), nullptr);
+  EXPECT_EQ(registry.FindCounter("io.coalesced_runs")->value(), 1u);
 }
 
 }  // namespace

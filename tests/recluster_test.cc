@@ -249,6 +249,33 @@ TEST(Sketch, StaysBoundedUnderDistinctEdgeFlood) {
   EXPECT_EQ(sketch.observations(), 400u);
 }
 
+TEST(Sketch, DescendingRunLearnsOnlyThePagesItRead) {
+  SimulatedDisk disk;
+  std::vector<std::byte> page(disk.page_size(), std::byte{1});
+  for (PageId p = 0; p < 10; ++p) {
+    ASSERT_TRUE(disk.WritePage(p, page.data()).ok());
+  }
+  AffinitySketch sketch;
+  recluster::AffinityDiskListener learner(&sketch, nullptr);
+  disk.set_listener(&learner);
+  std::vector<std::vector<std::byte>> bufs(
+      3, std::vector<std::byte>(disk.page_size()));
+  std::vector<std::byte*> outs;
+  for (auto& b : bufs) outs.push_back(b.data());
+  // Pages 4, 3, 2 in transfer order: the disk reports entry page 4.
+  ASSERT_TRUE(disk.ReadRun(2, 3, false, outs.data()).status.ok());
+  disk.set_listener(nullptr);
+
+  const std::set<PageId> read = {2, 3, 4};
+  std::vector<recluster::AffinityEdge> edges = sketch.Edges();
+  ASSERT_EQ(edges.size(), 2u);
+  for (const recluster::AffinityEdge& edge : edges) {
+    EXPECT_TRUE(read.contains(edge.from)) << edge.from << "->" << edge.to;
+    EXPECT_TRUE(read.contains(edge.to)) << edge.from << "->" << edge.to;
+  }
+  EXPECT_EQ(sketch.pages_observed(), 3u);
+}
+
 std::unique_ptr<VectorScan> RootScan(const std::vector<Oid>& roots) {
   std::vector<Row> rows;
   for (Oid oid : roots) rows.push_back(Row{Value::Ref(oid)});

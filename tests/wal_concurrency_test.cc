@@ -7,7 +7,7 @@
 // same buffer pool, WAL write gate, and shared directory.  Readers hold the
 // service's store lock shared, writers exclusive; commit durability waits
 // happen outside the lock so committers share group-commit flushes.  The
-// WAL flush telemetry flows through LockedTelemetry into a registry off the
+// WAL flush telemetry flows through a TelemetryHub into a registry off the
 // group-commit daemon thread, which is exactly the cross-thread path TSan
 // needs to see.
 
@@ -77,8 +77,9 @@ TEST(WalConcurrency, WritersRaceQueriesUnderOneServiceStack) {
   obs::Registry registry;
   obs::RegistryPublisher publisher(&registry);
   // The wal daemon publishes flushes concurrently with everything else:
-  // serialize it onto the registry through the service's locked fan-in.
-  service::LockedTelemetry telemetry(nullptr, nullptr, &publisher);
+  // serialize it onto the registry through the hub's lock.
+  obs::TelemetryHub telemetry;
+  telemetry.Add(&publisher);
 
   {
     wal::WalManager wal(db->disk.get(), wal_options);
