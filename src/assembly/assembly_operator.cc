@@ -441,7 +441,16 @@ Status AssemblyOperator::ResolveOne() {
 Status AssemblyOperator::ResolveRun() {
   RefRun run = scheduler_->PopRun(store_->buffer()->HeadLogical(),
                                   options_.io_batch_pages);
-  stats_.refs_resolved += run.refs.size();
+  // An abort or drop earlier in the run removes its object's references
+  // from the scheduler, but not the ones already popped into this run:
+  // those are skipped, and only references actually resolved are counted.
+  auto resolve = [this](const PendingRef& ref, const Status* fix_error) {
+    if (!ref.shared_owned && !in_flight_.contains(ref.complex_id)) {
+      return Status::OK();
+    }
+    stats_.refs_resolved++;
+    return ResolveRef(ref, fix_error);
+  };
 
   if (options_.prefetch_depth > 0) {
     // Run-granular read-ahead: group the predicted visit order into
@@ -470,7 +479,7 @@ Status AssemblyOperator::ResolveRun() {
 
   if (run.pages == 1 && run.refs.size() == 1) {
     // Nothing to coalesce; take the exact single-page path.
-    return ResolveRef(run.refs.front(), /*fix_error=*/nullptr);
+    return resolve(run.refs.front(), /*fix_error=*/nullptr);
   }
 
   // Pin the whole run with one vectored transfer.  While `fixed` is alive
@@ -485,19 +494,19 @@ Status AssemblyOperator::ResolveRun() {
     const size_t offset = static_cast<size_t>(ref.page - run.first_page);
     const Result<PageGuard>& slot = fixed[offset];
     if (slot.ok()) {
-      COBRA_RETURN_IF_ERROR(ResolveRef(ref, /*fix_error=*/nullptr));
+      COBRA_RETURN_IF_ERROR(resolve(ref, /*fix_error=*/nullptr));
     } else if (slot.status().IsResourceExhausted()) {
       // The shard had no frame for this page while the run held its pins;
       // resolve it alone after they release.
       deferred.push_back(ref);
     } else {
       Status page_error = slot.status();
-      COBRA_RETURN_IF_ERROR(ResolveRef(ref, &page_error));
+      COBRA_RETURN_IF_ERROR(resolve(ref, &page_error));
     }
   }
   fixed.clear();
   for (const PendingRef& ref : deferred) {
-    COBRA_RETURN_IF_ERROR(ResolveRef(ref, /*fix_error=*/nullptr));
+    COBRA_RETURN_IF_ERROR(resolve(ref, /*fix_error=*/nullptr));
   }
   return Status::OK();
 }

@@ -691,5 +691,104 @@ TEST(DegradedAssemblyPinTest, VectoredSkipObjectUnderBitFlipsStaysUnpinned) {
   EXPECT_GT(db->buffer->stats().checksum_failures, 0u);
 }
 
+// -------------------------- objects that end inside a vectored run
+
+// Assembles every root of `db` through one elevator operator (window 50)
+// and returns the emitted root OIDs, sorted.
+Result<std::vector<Oid>> AssembleAllRoots(AcobDatabase* db,
+                                          const AssemblyOptions& options,
+                                          AssemblyStats* stats) {
+  COBRA_RETURN_IF_ERROR(db->ColdRestart());
+  std::vector<exec::Row> rows;
+  for (Oid root : db->roots) rows.push_back(exec::Row{exec::Value::Ref(root)});
+  AssemblyOperator op(std::make_unique<exec::VectorScan>(std::move(rows)),
+                      &db->tmpl, db->store.get(), options);
+  COBRA_RETURN_IF_ERROR(op.Open());
+  std::vector<Oid> emitted;
+  exec::RowBatch batch;
+  for (;;) {
+    Result<size_t> n = op.NextBatch(&batch);
+    if (!n.ok()) {
+      (void)op.Close();
+      return n.status();
+    }
+    if (*n == 0) break;
+    for (size_t i = 0; i < *n; ++i) {
+      emitted.push_back(batch[i][0].AsObject()->oid);
+    }
+  }
+  *stats = op.stats();
+  COBRA_RETURN_IF_ERROR(op.Close());
+  std::sort(emitted.begin(), emitted.end());
+  return emitted;
+}
+
+// Intra-object clustering puts an object's components on consecutive pages,
+// so one coalesced run carries several references of the same object.  When
+// an early one ends the object, the run's later references of it are dead
+// and must be skipped, not fail the query; the outcome matches the
+// page-at-a-time run object for object.
+void ExpectRunMatchesPageAtATime(AcobDatabase* db, AssemblyOptions options,
+                                 bool expect_aborts) {
+  options.window_size = 50;
+  options.scheduler = SchedulerKind::kElevator;
+  options.io_batch_pages = 1;
+  AssemblyStats single_stats;
+  Result<std::vector<Oid>> single =
+      AssembleAllRoots(db, options, &single_stats);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+
+  options.io_batch_pages = 8;
+  AssemblyStats run_stats;
+  Result<std::vector<Oid>> run = AssembleAllRoots(db, options, &run_stats);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  const uint64_t ended =
+      expect_aborts ? run_stats.complex_aborted : run_stats.objects_dropped;
+  EXPECT_GT(ended, 0u);
+  EXPECT_GT(run_stats.complex_emitted, 0u);
+  EXPECT_EQ(run_stats.complex_admitted, db->roots.size());
+  EXPECT_EQ(run_stats.complex_admitted, run_stats.complex_emitted +
+                                            run_stats.complex_aborted +
+                                            run_stats.objects_dropped);
+  EXPECT_EQ(run->size(), run_stats.complex_emitted);
+  EXPECT_EQ(*run, *single);
+  EXPECT_EQ(run_stats.complex_aborted, single_stats.complex_aborted);
+  EXPECT_EQ(run_stats.objects_dropped, single_stats.objects_dropped);
+  EXPECT_EQ(db->buffer->pinned_frames(), 0u);
+}
+
+TEST(VectoredRunEndsObjectTest, PredicateRejectionSkipsTheRunsLaterRefs) {
+  AcobOptions options;
+  options.num_complex_objects = 200;
+  options.clustering = Clustering::kIntraObject;
+  options.seed = 42;
+  auto built = BuildAcobDatabase(options);
+  ASSERT_TRUE(built.ok());
+  auto db = std::move(*built);
+  // Component B's fields[0] is uniform in [0, 10000): about half pass.
+  db->nodes[1]->predicate = [](const ObjectData& obj) {
+    return obj.fields[0] < 5000;
+  };
+  db->nodes[1]->selectivity = 0.5;
+  ExpectRunMatchesPageAtATime(db.get(), AssemblyOptions{},
+                              /*expect_aborts=*/true);
+}
+
+TEST(VectoredRunEndsObjectTest, PermanentFaultDropSkipsTheRunsLaterRefs) {
+  AcobOptions options;
+  options.num_complex_objects = 200;
+  options.clustering = Clustering::kIntraObject;
+  options.seed = 42;
+  options.faults.seed = 7;
+  options.faults.permanent_page_fail = 0.05;
+  auto built = BuildAcobDatabase(options);
+  ASSERT_TRUE(built.ok());
+  auto db = std::move(*built);
+  AssemblyOptions assembly;
+  assembly.error_policy = ErrorPolicy::kSkipObject;
+  ExpectRunMatchesPageAtATime(db.get(), assembly, /*expect_aborts=*/false);
+}
+
 }  // namespace
 }  // namespace cobra
