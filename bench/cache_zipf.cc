@@ -188,7 +188,7 @@ PolicyRun RunPolicy(AcobDatabase* db, const Flags& flags,
         std::mt19937_64 rng(flags.seed * 7919 + c);
         for (size_t q = 0; q < flags.queries; ++q) {
           service::QueryJob job;
-          job.client = "c" + std::to_string(c);
+          job.client = std::string("c").append(std::to_string(c));
           job.tmpl = &db->tmpl;
           job.assembly = aopts;
           if (flags.scan_every > 0 && (q + 1) % flags.scan_every == 0) {

@@ -66,8 +66,11 @@ PlanBuilder PlanBuilder::ScanBTree(const BTree* tree, uint64_t lo,
                                    std::optional<uint64_t> hi) {
   PlanBuilder builder;
   builder.root_ = std::make_unique<BTreeScan>(tree, lo, hi);
-  std::string range = "[" + std::to_string(lo) + ", " +
-                      (hi.has_value() ? std::to_string(*hi) : "inf") + ")";
+  std::string range = "[";
+  range += std::to_string(lo);
+  range += ", ";
+  range += hi.has_value() ? std::to_string(*hi) : "inf";
+  range += ")";
   builder.explain_lines_ = {"BTreeScan " + range};
   return builder;
 }

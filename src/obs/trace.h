@@ -64,7 +64,7 @@ struct TraceEvent {
     kCachePatch,
   };
 
-  Kind kind;
+  Kind kind = Kind::kAdmit;
   uint64_t ts_ns = 0;   // completion time
   uint64_t dur_ns = 0;  // attributed work (0 for instants)
   uint64_t complex_id = 0;

@@ -67,7 +67,7 @@ void BuildFuzzWorld(uint64_t seed, FuzzWorld* out) {
   world.tmpl = std::make_unique<AssemblyTemplate>();
   std::vector<TemplateNode*> nodes;
   for (int l = 0; l <= depth; ++l) {
-    TemplateNode* node = world.tmpl->AddNode("L" + std::to_string(l));
+    TemplateNode* node = world.tmpl->AddNode(std::string("L").append(std::to_string(l)));
     node->expected_type = static_cast<TypeId>(l + 1);
     if (l > 0 && rng.NextBool(0.5)) {
       node->shared = true;

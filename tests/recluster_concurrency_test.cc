@@ -151,7 +151,7 @@ TEST(ReclusterConcurrency, ClientsRaceTheMoverWithConservedAttribution) {
         std::mt19937_64 rng(options.seed * 131 + c);
         for (size_t q = 0; q < kQueriesPerClient; ++q) {
           service::QueryJob job;
-          job.client = "c" + std::to_string(c);
+          job.client = std::string("c").append(std::to_string(c));
           job.tmpl = &db->tmpl;
           job.assembly.window_size = 16;
           job.assembly.scheduler = SchedulerKind::kElevator;

@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
       futures.reserve(flags.clients);
       for (size_t c = 0; c < flags.clients; ++c) {
         service::QueryJob job;
-        job.client = "c" + std::to_string(c);
+        job.client = std::string("c").append(std::to_string(c));
         job.tmpl = &db->tmpl;
         job.roots = RootSlice(db->roots, c, flags.clients);
         job.assembly = aopts;
@@ -247,7 +247,8 @@ int main(int argc, char** argv) {
       recluster_text = line;
       recluster_text += "seek pages by round:";
       for (uint64_t pages : round_seek_pages) {
-        recluster_text += " " + std::to_string(pages);
+        recluster_text += ' ';
+        recluster_text += std::to_string(pages);
       }
       recluster_text += "\n";
     }
