@@ -160,9 +160,7 @@ Status BufferManager::WriteBack(Shard* shard, Frame* frame) {
   // Bounded retry for transient write failures, mirroring ReadWithRetry.
   // A torn write is invisible here (the disk reports success); it surfaces
   // as a checksum failure on the next read and is repaired by recovery.
-  int max_attempts = options_.retry.max_read_attempts < 1
-                         ? 1
-                         : options_.retry.max_read_attempts;
+  const int max_attempts = MaxReadAttempts();
   Status write;
   PageId phys = Phys(frame->page_id);
   for (int attempt = 1;; ++attempt) {
@@ -223,40 +221,86 @@ Result<size_t> BufferManager::ObtainFrame(Shard* shard) {
   return frame_index;
 }
 
-Status BufferManager::ReadWithRetry(Shard* shard, PageId id, std::byte* data,
-                                    int attempt) {
-  // Bounded retry for transient failures; everything else (NotFound,
-  // Corruption, a failed checksum) is permanent and fails immediately.
-  obs::IoWaitTimer io_wait;
-  int max_attempts = options_.retry.max_read_attempts < 1
-                         ? 1
-                         : options_.retry.max_read_attempts;
-  Status read;
-  PageId phys = Phys(id);
-  for (;; ++attempt) {
-    read = disk_->ReadPage(phys, data);
-    if (read.ok()) {
-      read = VerifyPageChecksum(data, disk_->page_size(), id);
-      if (read.ok()) break;
-      shard->checksum_failures++;
-      ChargeChecksumFailure(id);
-      if (listener_ != nullptr) listener_->OnBufferChecksumFailure(id);
-      break;
-    }
-    if (!read.IsUnavailable() || attempt >= max_attempts) {
-      if (read.IsUnavailable()) shard->retries_exhausted++;
-      break;
-    }
-    shard->retries++;
-    ChargeRetry(id, attempt);
-    if (listener_ != nullptr) listener_->OnBufferRetry(id, attempt);
-    // Deterministic linear backoff, accounted in the disk's cost unit.
-    disk_->AddSeekPenaltyAt(
-        phys,
-        static_cast<uint64_t>(attempt) * options_.retry.backoff_seek_pages,
-        /*is_read=*/true);
+int BufferManager::MaxReadAttempts() const {
+  return std::max(1, options_.retry.max_read_attempts);
+}
+
+Status BufferManager::VerifyRead(PageId id, const std::byte* data) {
+  Status verified = VerifyPageChecksum(data, disk_->page_size(), id);
+  if (!verified.ok()) {
+    ShardFor(id).checksum_failures++;
+    ChargeChecksumFailure(id);
+    if (listener_ != nullptr) listener_->OnBufferChecksumFailure(id);
   }
-  return read;
+  return verified;
+}
+
+void BufferManager::ReadWithRetry(const PageId* ids, std::byte* const* dests,
+                                  size_t m, bool ascending, int attempt,
+                                  Status* statuses) {
+  // The untransferred pages are always the index range [lo, hi): a
+  // transfer consumes them from the front when ascending, from the back
+  // when descending, and the transfer resumes behind a page that failed.
+  size_t lo = 0;
+  size_t hi = m;
+  while (lo < hi) {
+    const size_t remaining = hi - lo;
+    // The pages are physically consecutive, so the run starts at the
+    // lowest one's physical address whichever way it is transferred.
+    RunReadResult read;
+    {
+      obs::IoWaitTimer io_wait;
+      read = disk_->ReadRun(Phys(ids[lo]), remaining, ascending, dests + lo);
+    }
+    for (size_t t = 0; t < read.pages_ok; ++t) {
+      statuses[ascending ? lo + t : hi - 1 - t] = Status::OK();
+    }
+    if (ascending) {
+      lo += read.pages_ok;
+    } else {
+      hi -= read.pages_ok;
+    }
+    if (read.pages_ok > 0) {
+      attempt = 1;  // the failing front page changed; restart its budget
+    }
+    if (lo >= hi) {
+      break;
+    }
+    // Transient failures retry the untransferred pages with a deterministic
+    // linear backoff, accounted in the disk's cost unit; anything else
+    // (NotFound, Corruption) and exhausted retries mark the page failed.
+    const size_t failed = ascending ? lo : hi - 1;
+    const PageId failed_page = ids[failed];
+    Shard& shard = ShardFor(failed_page);
+    if (read.status.IsUnavailable() && attempt < MaxReadAttempts()) {
+      shard.retries++;
+      ChargeRetry(failed_page, attempt);
+      if (listener_ != nullptr) listener_->OnBufferRetry(failed_page, attempt);
+      disk_->AddSeekPenaltyAt(
+          Phys(failed_page),
+          static_cast<uint64_t>(attempt) * options_.retry.backoff_seek_pages,
+          /*is_read=*/true);
+      attempt++;
+      continue;
+    }
+    if (read.status.IsUnavailable()) {
+      shard.retries_exhausted++;
+    }
+    statuses[failed] = read.status;
+    if (ascending) {
+      lo++;
+    } else {
+      hi--;
+    }
+    attempt = 1;
+  }
+  // Checksums verify in transfer order, outside the I/O time.
+  for (size_t t = 0; t < m; ++t) {
+    const size_t i = ascending ? t : m - 1 - t;
+    if (statuses[i].ok()) {
+      statuses[i] = VerifyRead(ids[i], dests[i]);
+    }
+  }
 }
 
 Status BufferManager::ConsumePending(Shard* shard, size_t index, PageId id) {
@@ -264,32 +308,26 @@ Status BufferManager::ConsumePending(Shard* shard, size_t index, PageId id) {
   Status status;
   {
     // Only the wait itself is I/O time; the retry fallback below times its
-    // own reads.
+    // own transfers.
     obs::IoWaitTimer io_wait;
     status = frame.pending.get();
   }
   frame.has_pending = false;
   frame.pending = {};
   if (status.ok()) {
-    status = VerifyPageChecksum(frame.data.data(), frame.data.size(), id);
-    if (!status.ok()) {
-      shard->checksum_failures++;
-      ChargeChecksumFailure(id);
-      if (listener_ != nullptr) listener_->OnBufferChecksumFailure(id);
-    }
+    status = VerifyRead(id, frame.data.data());
   } else if (status.IsUnavailable()) {
     // The async attempt was attempt 1; fall back to the synchronous retry
     // policy for the remainder.
-    int max_attempts = options_.retry.max_read_attempts < 1
-                           ? 1
-                           : options_.retry.max_read_attempts;
-    if (max_attempts > 1) {
+    if (MaxReadAttempts() > 1) {
       shard->retries++;
       ChargeRetry(id, 1);
       if (listener_ != nullptr) listener_->OnBufferRetry(id, 1);
       disk_->AddSeekPenaltyAt(Phys(id), options_.retry.backoff_seek_pages,
                               /*is_read=*/true);
-      status = ReadWithRetry(shard, id, frame.data.data(), /*attempt=*/2);
+      std::byte* dest = frame.data.data();
+      ReadWithRetry(&id, &dest, 1, /*ascending=*/true, /*attempt=*/2,
+                    &status);
     } else {
       shard->retries_exhausted++;
     }
@@ -348,7 +386,9 @@ Result<PageGuard> BufferManager::FetchPage(PageId id) {
   COBRA_ASSIGN_OR_RETURN(size_t frame_index, ObtainFrame(&shard));
   Frame& frame = *shard.frames[frame_index];
   frame.data.resize(disk_->page_size());
-  Status read = ReadWithRetry(&shard, id, frame.data.data(), /*attempt=*/1);
+  std::byte* dest = frame.data.data();
+  Status read;
+  ReadWithRetry(&id, &dest, 1, /*ascending=*/true, /*attempt=*/1, &read);
   if (!read.ok()) {
     shard.free_list.push_back(frame_index);
     return read;
@@ -450,13 +490,20 @@ void BufferManager::FixRun(PageId first, size_t n, bool ascending,
     missing.push_back(MissingPage{i, *frame_index});
   }
 
-  // Phase 2: serve each maximal consecutive group of misses with vectored
-  // reads.  A transient failure retries only the untransferred tail; a
-  // permanent failure (or exhausted retries) marks its own page and the
-  // transfer continues behind it.
-  const int max_attempts = options_.retry.max_read_attempts < 1
-                               ? 1
-                               : options_.retry.max_read_attempts;
+  // Phase 2: serve each maximal consecutive group of misses with one
+  // retrying vectored read.  A transient failure retries only the
+  // untransferred pages; a permanent failure (or exhausted retries) marks
+  // its own page and the transfer continues behind it.
+  std::vector<PageId> ids;
+  std::vector<std::byte*> dests;
+  ids.reserve(missing.size());
+  dests.reserve(missing.size());
+  for (const MissingPage& mp : missing) {
+    const PageId id = first + mp.offset;
+    ids.push_back(id);
+    dests.push_back(shards_[ShardIndex(id)]->frames[mp.frame]->data.data());
+  }
+  std::vector<Status> statuses(missing.size());
   // On a disk array a group never crosses a stripe seam: pages on different
   // spindles are separate arms, so chaining them into one transfer would
   // serialize what the per-spindle elevators can overlap.  The virtual
@@ -464,103 +511,35 @@ void BufferManager::FixRun(PageId first, size_t n, bool ascending,
   const bool multi_spindle = disk_->num_spindles() > 1;
   size_t group_begin = 0;
   while (group_begin < missing.size()) {
-    size_t group_end = group_begin;  // inclusive
+    size_t group_end = group_begin + 1;  // exclusive
     // A group must be consecutive in *physical* addresses too: with a
     // forwarding table attached, a logical run may be scattered until the
     // mover has packed it, and each physically-contiguous fragment is its
     // own transfer.  Without a table Phys is the identity, so the physical
-    // condition is implied by the offset condition and grouping is
-    // unchanged.
-    while (group_end + 1 < missing.size() &&
-           missing[group_end + 1].offset == missing[group_end].offset + 1 &&
-           Phys(first + missing[group_end + 1].offset) ==
-               Phys(first + missing[group_end].offset) + 1 &&
-           (!multi_spindle ||
-            disk_->SpindleOf(Phys(first + missing[group_end + 1].offset)) ==
-                disk_->SpindleOf(Phys(first + missing[group_end].offset)))) {
+    // condition is implied by the logical one and grouping is unchanged.
+    while (group_end < missing.size() &&
+           ids[group_end] == ids[group_end - 1] + 1 &&
+           Phys(ids[group_end]) == Phys(ids[group_end - 1]) + 1 &&
+           (!multi_spindle || disk_->SpindleOf(Phys(ids[group_end])) ==
+                                  disk_->SpindleOf(Phys(ids[group_end - 1])))) {
       group_end++;
     }
-    const size_t m = group_end - group_begin + 1;
-    // t-th page of the group in transfer order.
-    auto at = [&](size_t t) -> MissingPage& {
-      return missing[ascending ? group_begin + t : group_end - t];
-    };
-    auto frame_of = [&](const MissingPage& mp) -> Frame& {
-      return *shards_[ShardIndex(first + mp.offset)]->frames[mp.frame];
-    };
-    std::vector<uint8_t> good(m, 0);  // indexed in transfer order
-    size_t pos = 0;
-    int attempt = 1;
-    while (pos < m) {
-      const size_t remaining = m - pos;
-      // The transfer runs in physical address space (the group is
-      // physically consecutive by construction above).
-      const PageId front_page = Phys(first + at(pos).offset);
-      const PageId low_page =
-          ascending ? front_page : front_page - (remaining - 1);
-      std::vector<std::byte*> outs(remaining, nullptr);
-      for (size_t t = 0; t < remaining; ++t) {
-        MissingPage& mp = at(pos + t);
-        outs[Phys(first + mp.offset) - low_page] = frame_of(mp).data.data();
-      }
-      RunReadResult read;
-      {
-        obs::IoWaitTimer io_wait;
-        read = disk_->ReadRun(low_page, remaining, ascending, outs.data());
-      }
-      for (size_t t = 0; t < read.pages_ok; ++t) {
-        good[pos + t] = 1;
-      }
-      if (read.pages_ok > 0) {
-        attempt = 1;  // the failing front page changed; restart its budget
-      }
-      pos += read.pages_ok;
-      if (pos >= m) {
-        break;
-      }
-      const PageId failed_page = first + at(pos).offset;
-      Shard& failed_shard = *shards_[ShardIndex(failed_page)];
-      if (read.status.IsUnavailable() && attempt < max_attempts) {
-        failed_shard.retries++;
-        ChargeRetry(failed_page, attempt);
-        if (listener_ != nullptr) {
-          listener_->OnBufferRetry(failed_page, attempt);
-        }
-        disk_->AddSeekPenaltyAt(
-            Phys(failed_page),
-            static_cast<uint64_t>(attempt) * options_.retry.backoff_seek_pages,
-            /*is_read=*/true);
-        attempt++;
-        continue;  // re-read from the same front page
-      }
-      if (read.status.IsUnavailable()) {
-        failed_shard.retries_exhausted++;
-      }
-      (*out)[at(pos).offset] = read.status;
-      pos++;  // the transfer resumes behind the bad page
-      attempt = 1;
-    }
-    // Finalize the group: verify checksums, publish good pages, free the
-    // frames of failed ones (they were never in the page table).
+    const size_t m = group_end - group_begin;
+    ReadWithRetry(&ids[group_begin], &dests[group_begin], m, ascending,
+                  /*attempt=*/1, &statuses[group_begin]);
+    // Publish the good pages in transfer order; the frames of failed ones
+    // return to the free list (they were never in the page table).
     for (size_t t = 0; t < m; ++t) {
-      MissingPage& mp = at(t);
-      const PageId id = first + mp.offset;
+      const size_t i = group_begin + (ascending ? t : m - 1 - t);
+      const MissingPage& mp = missing[i];
+      const PageId id = ids[i];
       Shard& shard = *shards_[ShardIndex(id)];
-      Frame& frame = frame_of(mp);
-      if (!good[t]) {
+      if (!statuses[i].ok()) {
+        (*out)[mp.offset] = std::move(statuses[i]);
         shard.free_list.push_back(mp.frame);
         continue;
       }
-      Status verified =
-          VerifyPageChecksum(frame.data.data(), frame.data.size(), id);
-      if (!verified.ok()) {
-        shard.checksum_failures++;
-        ChargeChecksumFailure(id);
-        if (listener_ != nullptr) listener_->OnBufferChecksumFailure(id);
-        (*out)[mp.offset] = std::move(verified);
-        shard.free_list.push_back(mp.frame);
-        continue;
-      }
+      Frame& frame = *shard.frames[mp.frame];
       shard.faults++;
       ChargeFault();
       if (listener_ != nullptr) listener_->OnBufferFault(id);
@@ -573,7 +552,7 @@ void BufferManager::FixRun(PageId first, size_t n, bool ascending,
       NotePin(&frame);
       (*out)[mp.offset] = PageGuard(this, &frame, id);
     }
-    group_begin = group_end + 1;
+    group_begin = group_end;
   }
 }
 

@@ -21,6 +21,11 @@
 // (FlushAll, DropAll, ResetStats, stats readers) expect a quiesced pool.
 // With num_shards == 1 (the default) behavior, statistics and eviction
 // order are identical to the historical single-threaded pool.
+//
+// Reads: every miss — FetchPage's, FixRun's, and the synchronous retry of
+// a failed prefetch — goes through one retrying vectored read
+// (ReadWithRetry) and one checksum check (VerifyRead); a single page is a
+// run of one.
 
 #ifndef COBRA_BUFFER_BUFFER_MANAGER_H_
 #define COBRA_BUFFER_BUFFER_MANAGER_H_
@@ -44,11 +49,11 @@
 
 namespace cobra {
 
-// How FetchPage handles transient (Status::Unavailable) read failures:
-// retry up to max_read_attempts total attempts, charging a deterministic
-// linear backoff (attempt * backoff_seek_pages) to the disk's read seek cost
-// before each retry.  Permanent failures (Corruption, NotFound) and checksum
-// mismatches are never retried.
+// How the pool handles transient (Status::Unavailable) read failures, on
+// FetchPage and FixRun alike: retry up to max_read_attempts total attempts,
+// charging a deterministic linear backoff (attempt * backoff_seek_pages) to
+// the disk's read seek cost before each retry.  Permanent failures
+// (Corruption, NotFound) and checksum mismatches are never retried.
 struct RetryPolicy {
   int max_read_attempts = 3;
   uint64_t backoff_seek_pages = 16;
@@ -280,11 +285,11 @@ class BufferManager {
 
   // Optional page-forwarding table (borrowed; must outlive the manager or
   // be cleared).  When set, the manager translates page ids to physical
-  // addresses at its disk boundary — ReadPage/WritePage/ReadRun/
-  // SubmitRead/Exists and seek-penalty charges — while the page table,
-  // checksums, listeners, and the write gate keep operating on logical
-  // ids.  Null (the default) is the identity map and preserves historical
-  // behavior bit-for-bit.  See storage/recluster/forwarding.h.
+  // addresses at its disk boundary — ReadRun/WritePage/SubmitRead/Exists
+  // and seek-penalty charges — while the page table, checksums, listeners,
+  // and the write gate keep operating on logical ids.  Null (the default)
+  // is the identity map and preserves historical behavior bit-for-bit.
+  // See storage/recluster/forwarding.h.
   void set_forwarding(const recluster::PageForwarding* forwarding) {
     forwarding_ = forwarding;
   }
@@ -351,10 +356,22 @@ class BufferManager {
   // (writing it back if dirty).  Caller holds shard.mu.
   Result<size_t> ObtainFrame(Shard* shard);
   Status WriteBack(Shard* shard, Frame* frame);
-  // Reads `id` into `data` with the transient-retry policy, starting the
-  // attempt numbering at `attempt` (a consumed prefetch already spent
-  // attempt 1).  Caller holds shard.mu.
-  Status ReadWithRetry(Shard* shard, PageId id, std::byte* data, int attempt);
+  // The one read path below the pool: reads the logical pages ids[0..m),
+  // physically consecutive in that order, into dests[0..m) with vectored
+  // transfers in `ascending` direction (a single page is a run of one).
+  // Transient failures retry the untransferred pages with backoff,
+  // starting the attempt numbering at `attempt` (a consumed prefetch
+  // already spent attempt 1).  statuses[i] receives page i's outcome,
+  // checksum verified.  Only the transfers are timed as I/O.  Caller holds
+  // the shard lock of every page.
+  void ReadWithRetry(const PageId* ids, std::byte* const* dests, size_t m,
+                     bool ascending, int attempt, Status* statuses);
+  // Verifies the checksum of page `id` just read into `data`; a mismatch is
+  // counted, charged to the current query and reported to the listener.
+  // Caller holds the page's shard lock.
+  Status VerifyRead(PageId id, const std::byte* data);
+  // RetryPolicy::max_read_attempts, at least 1.
+  int MaxReadAttempts() const;
   // Resolves an in-flight prefetch on frame `index`; on failure the frame
   // is freed and the page-table entry removed.  Caller holds shard.mu.
   Status ConsumePending(Shard* shard, size_t index, PageId id);

@@ -14,16 +14,6 @@ constexpr auto kAnticipation = std::chrono::microseconds(150);
 
 }  // namespace
 
-std::optional<uint64_t> ElevatorIoQueue::PopNext(PageId head) {
-  auto it = ScanNext(by_page_, head, &sweeping_up_);
-  if (it == by_page_.end()) {
-    return std::nullopt;
-  }
-  uint64_t ticket = it->second.ticket;
-  by_page_.erase(it);
-  return ticket;
-}
-
 std::optional<IoRun> ElevatorIoQueue::PopRun(PageId head,
                                              size_t max_run_pages) {
   auto it = ScanNext(by_page_, head, &sweeping_up_);
@@ -146,10 +136,6 @@ std::shared_future<Status> AsyncDisk::SubmitWrite(PageId id,
   return Submit(std::move(request));
 }
 
-Status AsyncDisk::ReadPage(PageId id, std::byte* out) {
-  return SubmitRead(id, out).get();
-}
-
 Status AsyncDisk::WritePage(PageId id, const std::byte* data) {
   return SubmitWrite(id, data).get();
 }
@@ -178,19 +164,17 @@ RunReadResult AsyncDisk::ReadRun(PageId first, size_t n, bool ascending,
   for (size_t i = 0; i < n; ++i) {
     futures.push_back(SubmitRead(first + i, outs[i]));
   }
-  // Report the good prefix in transfer order, matching the base contract.
-  std::vector<Status> statuses;
-  statuses.reserve(n);
-  for (auto& future : futures) {
-    statuses.push_back(future.get());
-  }
+  // Wait for every page (each `outs` buffer must stay valid until its read
+  // completes), and report the good prefix in transfer order, matching the
+  // base contract.
   for (size_t i = 0; i < n; ++i) {
-    const size_t offset = ascending ? i : n - 1 - i;
-    if (!statuses[offset].ok()) {
-      result.status = statuses[offset];
-      return result;
+    const Status& status = futures[ascending ? i : n - 1 - i].get();
+    if (!result.status.ok()) continue;  // past the good prefix
+    if (status.ok()) {
+      result.pages_ok++;
+    } else {
+      result.status = status;
     }
-    result.pages_ok++;
   }
   return result;
 }
@@ -240,33 +224,11 @@ void AsyncDisk::IoLoop(uint32_t spindle) {
     // arms move independently, and each queue only holds its own spindle's
     // pages.  On one spindle this is the historical head().
     const PageId head = backing_->spindle_head_page(spindle);
-    if (max_run_pages_ <= 1) {
-      // Historical page-at-a-time service: identical picks, identical stats.
-      std::optional<uint64_t> ticket = queue.PopNext(head);
-      Request request = std::move(pending_.at(*ticket));
-      pending_.erase(*ticket);
-      if (request.is_read) {
-        last_reader = request.ctx;
-      }
-      in_flight_++;
-      lock.unlock();
-      Status status;
-      {
-        obs::ScopedQueryContext scope(request.ctx);
-        status = request.is_read
-                     ? backing_->ReadPage(request.page, request.out)
-                     : backing_->WritePage(request.page, request.in);
-      }
-      request.promise.set_value(status);
-      lock.lock();
-      in_flight_--;
-    } else {
-      std::optional<IoRun> run = queue.PopRun(head, max_run_pages_);
-      if (run->is_read) {
-        last_reader = pending_.at(run->tickets.front().second).ctx;
-      }
-      ServeRun(std::move(*run), lock);
+    std::optional<IoRun> run = queue.PopRun(head, max_run_pages_);
+    if (run->is_read) {
+      last_reader = pending_.at(run->tickets.front().second).ctx;
     }
+    ServeRun(std::move(*run), lock);
     if (last_reader != nullptr) {
       anticipate_until = std::chrono::steady_clock::now() + kAnticipation;
     }
@@ -300,14 +262,6 @@ void AsyncDisk::ServeRun(IoRun run, std::unique_lock<std::mutex>& lock) {
       status = backing_->WritePage(request.page, request.in);
     }
     request.promise.set_value(status);
-  } else if (run.pages == 1 && executing.size() == 1) {
-    Request& request = executing.front().second;
-    Status status;
-    {
-      obs::ScopedQueryContext scope(request.ctx);
-      status = backing_->ReadPage(request.page, request.out);
-    }
-    request.promise.set_value(status);
   } else {
     // One vectored backing transfer; the first waiter of each page is the
     // scatter target, later waiters copy from it on success.
@@ -326,45 +280,32 @@ void AsyncDisk::ServeRun(IoRun run, std::unique_lock<std::mutex>& lock) {
           backing_->ReadRun(run.first, run.pages, run.ascending, outs.data());
     }
 
-    // Offsets (relative to run.first) of the good prefix, the failed page,
-    // and the untouched tail — all derived from transfer order.
-    auto transfer_offset = [&](size_t position) {
-      return run.ascending ? position : run.pages - 1 - position;
-    };
-    std::vector<int> page_state(run.pages, 0);  // 0 = untouched
-    for (size_t p = 0; p < result.pages_ok; ++p) {
-      page_state[transfer_offset(p)] = 1;  // good
-    }
-    if (!result.status.ok() && result.pages_ok < run.pages) {
-      page_state[transfer_offset(result.pages_ok)] = -1;  // failed
-    }
-
     std::vector<Request> requeue;
     for (auto& [page, request] : executing) {
       const size_t offset = static_cast<size_t>(page - run.first);
-      switch (page_state[offset]) {
-        case 1:
-          if (request.out != outs[offset]) {
-            std::memcpy(request.out, outs[offset], backing_->page_size());
-          }
-          // A page delivered to a different query than the one charged for
-          // the transfer: informational only, outside the conservation sum.
-          if (request.ctx != nullptr && request.ctx.get() != entry_ctx) {
-            request.ctx->io.piggyback_pages.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-          request.promise.set_value(Status::OK());
-          break;
-        case -1:
-          // The faulty page's waiters see the per-page error; the buffer
-          // layer's retry policy decides what happens next.
-          request.promise.set_value(result.status);
-          break;
-        default:
-          // Never reached by the device — goes back in the queue and will
-          // be served by a later (likely coalesced) pick.
-          requeue.push_back(std::move(request));
-          break;
+      // The page's position in transfer order: the good prefix comes
+      // first, then the failed page (if any), then the untouched tail.
+      const size_t position =
+          run.ascending ? offset : run.pages - 1 - offset;
+      if (position < result.pages_ok) {
+        if (request.out != outs[offset]) {
+          std::memcpy(request.out, outs[offset], backing_->page_size());
+        }
+        // A page delivered to a different query than the one charged for
+        // the transfer: informational only, outside the conservation sum.
+        if (request.ctx != nullptr && request.ctx.get() != entry_ctx) {
+          request.ctx->io.piggyback_pages.fetch_add(
+              1, std::memory_order_relaxed);
+        }
+        request.promise.set_value(Status::OK());
+      } else if (position == result.pages_ok && !result.status.ok()) {
+        // The faulty page's waiters see the per-page error; the buffer
+        // layer's retry policy decides what happens next.
+        request.promise.set_value(result.status);
+      } else {
+        // Never reached by the device — goes back in the queue and will
+        // be served by a later (likely coalesced) pick.
+        requeue.push_back(std::move(request));
       }
     }
     if (result.pages_ok >= 2) {

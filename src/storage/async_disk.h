@@ -24,9 +24,9 @@
 // them through the completion future.
 //
 // Ordering guarantees:
-//   * a blocking ReadPage/WritePage returns only after the backing disk
-//     executed the request — a single client therefore sees exactly the
-//     same order (and the same seek accounting) as calling the backing
+//   * a blocking ReadRun/ReadPage/WritePage returns only after the backing
+//     disk executed the request — a single client therefore sees exactly
+//     the same order (and the same seek accounting) as calling the backing
 //     disk directly;
 //   * across clients, requests pending at the same time are served in SCAN
 //     order (nearest page in the current sweep direction; FIFO among equal
@@ -85,26 +85,24 @@ struct IoRun {
 
 // SCAN-ordered request queue keyed by page: continue in the current sweep
 // direction from the head, reverse at the end; FIFO among requests for the
-// same page.  Not thread-safe by itself — AsyncDisk guards it with its
-// queue mutex.  Exposed for the scheduler property tests.
+// same page, on either sweep direction.  Not thread-safe by itself —
+// AsyncDisk guards it with its queue mutex.  Exposed for the scheduler
+// property tests.
 class ElevatorIoQueue {
  public:
   void Push(PageId page, uint64_t ticket, bool is_read = true) {
     by_page_.emplace(page, Waiter{ticket, is_read});
   }
 
-  // Removes and returns the ticket of the next request to serve given the
-  // current head position.  nullopt when empty.
-  std::optional<uint64_t> PopNext(PageId head);
-
-  // Vectored pop: picks the SCAN-next request, then coalesces reads waiting
-  // on consecutive pages further along the current sweep direction, bounded
-  // by `max_run_pages` distinct pages.  A run never spans a sweep reversal
-  // (coalescing only continues the direction the first pick established)
-  // and never reorders a page's FIFO: the entry page contributes its oldest
-  // waiters up to (not including) its first queued write, and an extension
-  // page joins only if every waiter on it is a read.  A write is therefore
-  // always served alone.  nullopt when empty.
+  // Picks the SCAN-next request given the head position, then coalesces
+  // reads waiting on consecutive pages further along the current sweep
+  // direction, bounded by `max_run_pages` distinct pages.  At one page the
+  // pick is the entry page's oldest waiter alone.  A run never spans a
+  // sweep reversal (coalescing only continues the direction the first pick
+  // established) and never reorders a page's FIFO: the entry page
+  // contributes its oldest waiters up to (not including) its first queued
+  // write, and an extension page joins only if every waiter on it is a
+  // read.  A write is therefore always served alone.  nullopt when empty.
   std::optional<IoRun> PopRun(PageId head, size_t max_run_pages);
 
   bool empty() const { return by_page_.empty(); }
@@ -144,9 +142,9 @@ class AsyncDisk : public SimulatedDisk {
   explicit AsyncDisk(SimulatedDisk* backing);
   ~AsyncDisk() override;
 
-  // Blocking data plane: submits and waits.  A lone client observes
-  // identical behavior (order, stats, errors) to the backing disk.
-  Status ReadPage(PageId id, std::byte* out) override;
+  // Blocking write: submits and waits.  A lone client observes identical
+  // behavior (order, stats, errors) to the backing disk.  Blocking reads
+  // (ReadPage is a run of one) go through ReadRun below.
   Status WritePage(PageId id, const std::byte* data) override;
 
   // Queued read with futures-based completion; the buffer pool's prefetch
@@ -184,8 +182,8 @@ class AsyncDisk : public SimulatedDisk {
   }
 
   // Upper bound on how many consecutive pages the I/O thread may coalesce
-  // into one backing transfer.  1 (the default) preserves the historical
-  // page-at-a-time service exactly — same picks, same stats.
+  // into one backing transfer.  At 1 (the default) every read is served as
+  // its own one-page ReadRun.
   void set_max_run_pages(size_t pages);
 
   // Blocks until every submitted request has completed.

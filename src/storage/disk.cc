@@ -85,82 +85,50 @@ void SimulatedDisk::ParkHead(PageId id) {
   head_.store(id, std::memory_order_relaxed);
 }
 
+DiskStats SimulatedDisk::stats() const {
+  DiskStats total;
+  for (const SpindleState& sp : spindles_) {
+    total.reads += sp.stats.reads;
+    total.writes += sp.stats.writes;
+    total.read_seek_pages += sp.stats.read_seek_pages;
+    total.write_seek_pages += sp.stats.write_seek_pages;
+    total.pages_read += sp.stats.pages_read;
+    total.coalesced_runs += sp.stats.coalesced_runs;
+  }
+  return total;
+}
+
 void SimulatedDisk::ResetStats() {
-  stats_ = DiskStats{};
   for (SpindleState& sp : spindles_) {
     sp.stats = DiskStats{};
   }
 }
 
-uint64_t SimulatedDisk::ChargeSeek(PageId id, bool is_read) {
+void SimulatedDisk::ChargeWrite(PageId id) {
   const SpindleSlot slot = ResolveSlot(id);
   SpindleState& sp = spindles_[slot.spindle];
   const uint64_t distance = SeekDistancePages(slot.offset, sp.head_offset);
-  if (is_read) {
-    stats_.reads++;
-    stats_.read_seek_pages += distance;
-    sp.stats.reads++;
-    sp.stats.read_seek_pages += distance;
-  } else {
-    stats_.writes++;
-    stats_.write_seek_pages += distance;
-    sp.stats.writes++;
-    sp.stats.write_seek_pages += distance;
-  }
+  sp.stats.writes++;
+  sp.stats.write_seek_pages += distance;
   if (obs::QueryContext* query = obs::CurrentQuery()) {
-    if (is_read) {
-      query->io.disk_reads.fetch_add(1, std::memory_order_relaxed);
-      query->io.read_seek_pages.fetch_add(distance,
-                                          std::memory_order_relaxed);
-      const size_t qs = TrackedSpindle(slot.spindle);
-      query->io.spindle_reads[qs].fetch_add(1, std::memory_order_relaxed);
-      query->io.spindle_seek_pages[qs].fetch_add(distance,
-                                                 std::memory_order_relaxed);
-      query->Record({obs::SpanEventKind::kDiskRead, 0, 0, id, distance,
-                     uint64_t{slot.spindle} + 1});
-    } else {
-      query->io.disk_writes.fetch_add(1, std::memory_order_relaxed);
-      query->io.write_seek_pages.fetch_add(distance,
-                                           std::memory_order_relaxed);
-      query->Record({obs::SpanEventKind::kDiskWrite, 0, 0, id, distance,
-                     uint64_t{slot.spindle} + 1});
-    }
+    query->io.disk_writes.fetch_add(1, std::memory_order_relaxed);
+    query->io.write_seek_pages.fetch_add(distance, std::memory_order_relaxed);
+    query->Record({obs::SpanEventKind::kDiskWrite, 0, 0, id, distance,
+                   uint64_t{slot.spindle} + 1});
   }
   sp.head_offset = slot.offset;
   sp.head_page.store(id, std::memory_order_relaxed);
   head_.store(id, std::memory_order_relaxed);
   if (listener_ != nullptr) {
-    listener_->OnDiskIo({.kind = is_read ? IoEvent::Kind::kRead
-                                         : IoEvent::Kind::kWrite,
+    listener_->OnDiskIo({.kind = IoEvent::Kind::kWrite,
                          .spindle = slot.spindle,
                          .entry = id,
                          .seek_pages = distance});
   }
-  return distance;
 }
 
 Status SimulatedDisk::ReadPage(PageId id, std::byte* out) {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return ReadPageLocked(id, out);
-}
-
-Status SimulatedDisk::ReadPageLocked(PageId id, std::byte* out) {
-  auto it = pages_.find(id);
-  if (it == pages_.end()) {
-    return Status::NotFound("page " + std::to_string(id) + " never written");
-  }
-  const uint64_t distance = ChargeSeek(id, /*is_read=*/true);
-  stats_.pages_read++;
-  spindles_[ResolveSlot(id).spindle].stats.pages_read++;
-  if (obs::QueryContext* query = obs::CurrentQuery()) {
-    query->io.pages_read.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (trace_enabled_) {
-    read_trace_.push_back(id);
-    seek_trace_.push_back(distance);
-  }
-  std::memcpy(out, it->second.data(), options_.page_size);
-  return Status::OK();
+  return ReadRun(id, 1, /*ascending=*/true, &out).status;
 }
 
 RunReadResult SimulatedDisk::ReadRun(PageId first, size_t n, bool ascending,
@@ -193,7 +161,6 @@ RunReadResult SimulatedDisk::ReadRun(PageId first, size_t n, bool ascending,
   size_t segment_pages = 0;
   auto close_segment = [&] {
     if (segment_pages >= 2) {
-      stats_.coalesced_runs++;
       spindles_[segment_spindle].stats.coalesced_runs++;
       if (query != nullptr) {
         query->io.coalesced_runs.fetch_add(1, std::memory_order_relaxed);
@@ -217,7 +184,6 @@ RunReadResult SimulatedDisk::ReadRun(PageId first, size_t n, bool ascending,
       close_segment();
       segment_spindle = slot.spindle;
       segment_pages = 0;
-      stats_.reads++;
       sp.stats.reads++;
       if (query != nullptr) {
         query->io.disk_reads.fetch_add(1, std::memory_order_relaxed);
@@ -228,8 +194,6 @@ RunReadResult SimulatedDisk::ReadRun(PageId first, size_t n, bool ascending,
     // Segment entry pays the positioning seek; within a segment consecutive
     // pages sit at consecutive offsets, so this is 1 page of travel each.
     const uint64_t distance = SeekDistancePages(slot.offset, sp.head_offset);
-    stats_.read_seek_pages += distance;
-    stats_.pages_read++;
     sp.stats.read_seek_pages += distance;
     sp.stats.pages_read++;
     if (query != nullptr) {
@@ -253,12 +217,11 @@ RunReadResult SimulatedDisk::ReadRun(PageId first, size_t n, bool ascending,
     uint64_t penalty = 0;
     Status injected = InjectRunPageFault(page, outs[offset], &penalty);
     if (penalty > 0) {
-      AddSeekPenaltyAtLocked(page, penalty, /*is_read=*/true);
+      ChargePenalty(page, penalty, /*is_read=*/true);
     }
     if (!injected.ok()) {
       // The page was physically visited (seek charged, trace recorded) but
-      // its payload is not usable — exclude it from the good prefix, exactly
-      // like a failed single-page read.
+      // its payload is not usable: it is excluded from the good prefix.
       result.status = std::move(injected);
       break;
     }
@@ -267,13 +230,19 @@ RunReadResult SimulatedDisk::ReadRun(PageId first, size_t n, bool ascending,
   close_segment();
   result.pages_ok = good;
   if (transferred > 0) {
+    const uint32_t entry_spindle = ResolveSlot(entry).spindle;
     if (query != nullptr) {
-      query->Record({obs::SpanEventKind::kDiskReadRun, 0, 0, entry, travel,
-                     transferred});
+      // A one-page read keeps the single-read span: its third field is the
+      // spindle + 1 instead of the run length.
+      query->Record(n == 1 ? obs::SpanEvent{obs::SpanEventKind::kDiskRead, 0,
+                                            0, entry, travel,
+                                            uint64_t{entry_spindle} + 1}
+                           : obs::SpanEvent{obs::SpanEventKind::kDiskReadRun,
+                                            0, 0, entry, travel, transferred});
     }
     if (listener_ != nullptr) {
       listener_->OnDiskIo({.kind = IoEvent::Kind::kRead,
-                           .spindle = ResolveSlot(entry).spindle,
+                           .spindle = entry_spindle,
                            .entry = entry,
                            .pages = transferred,
                            .ascending = ascending,
@@ -285,29 +254,23 @@ RunReadResult SimulatedDisk::ReadRun(PageId first, size_t n, bool ascending,
 
 void SimulatedDisk::AddSeekPenalty(uint64_t pages, bool is_read) {
   std::lock_guard<std::mutex> lock(io_mu_);
-  AddSeekPenaltyLocked(pages, is_read);
+  // No page context: the penalty belongs to whichever spindle served last.
+  ChargePenalty(head_.load(std::memory_order_relaxed), pages,
+                         is_read);
 }
 
 void SimulatedDisk::AddSeekPenaltyAt(PageId near_page, uint64_t pages,
                                      bool is_read) {
   std::lock_guard<std::mutex> lock(io_mu_);
-  AddSeekPenaltyAtLocked(near_page, pages, is_read);
+  ChargePenalty(near_page, pages, is_read);
 }
 
-void SimulatedDisk::AddSeekPenaltyLocked(uint64_t pages, bool is_read) {
-  // No page context: the penalty belongs to whichever spindle served last.
-  AddSeekPenaltyAtLocked(head_.load(std::memory_order_relaxed), pages,
-                         is_read);
-}
-
-void SimulatedDisk::AddSeekPenaltyAtLocked(PageId near_page, uint64_t pages,
-                                           bool is_read) {
+void SimulatedDisk::ChargePenalty(PageId near_page, uint64_t pages,
+                                  bool is_read) {
   const uint32_t spindle = ResolveSlot(near_page).spindle;
   if (is_read) {
-    stats_.read_seek_pages += pages;
     spindles_[spindle].stats.read_seek_pages += pages;
   } else {
-    stats_.write_seek_pages += pages;
     spindles_[spindle].stats.write_seek_pages += pages;
   }
   if (obs::QueryContext* query = obs::CurrentQuery()) {
@@ -341,15 +304,11 @@ std::shared_future<Status> SimulatedDisk::SubmitRead(PageId id,
 }
 
 Status SimulatedDisk::WritePage(PageId id, const std::byte* data) {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return WritePageLocked(id, data);
-}
-
-Status SimulatedDisk::WritePageLocked(PageId id, const std::byte* data) {
   if (id == kInvalidPageId) {
     return Status::InvalidArgument("cannot write the invalid page id");
   }
-  ChargeSeek(id, /*is_read=*/false);
+  std::lock_guard<std::mutex> lock(io_mu_);
+  ChargeWrite(id);
   auto [it, inserted] = pages_.try_emplace(id);
   if (inserted) {
     it->second.resize(options_.page_size);

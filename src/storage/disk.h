@@ -12,30 +12,32 @@
 // spindles with a PlacementPolicy (storage/placement.h) mapping each page
 // to a (spindle, offset) slot.  Each spindle has its own arm: a read or
 // write of page p costs |offset(p) - arm(spindle(p))| pages and moves only
-// that spindle's arm.  Global DiskStats keep their historical meaning
-// (every operation is counted once); per-spindle DiskStats are charged at
-// the same sites, so the per-spindle sums equal the global counters exactly
-// — the same conservation shape as per-query attribution.  With the default
-// 1-spindle geometry, offset == page and the array is bit-identical to the
-// historical single-disk device.
+// that spindle's arm.  Each operation is counted once, on its spindle's
+// DiskStats; stats() is their sum.  With the default 1-spindle geometry,
+// offset == page and the array is bit-identical to the historical
+// single-disk device.
 //
-// Threading: the data-plane entry points (ReadPage, WritePage, Exists,
-// AddSeekPenalty, SubmitRead) serialize on an internal mutex so concurrent
-// clients — the sharded buffer pool, the AsyncDisk I/O threads — can share
-// one device.  The critical section per transfer is short (a memcpy plus
-// accounting); cross-spindle parallelism lives in the per-spindle elevator
-// threads above (storage/async_disk.h), which overlap their seeks and queue
-// service.  head() and spindle_head_page() are lock-free snapshots.
-// Everything else (stats, ResetStats, ParkHead, read traces, Save/Load,
-// SetLogRegion) is control-plane: call it only while no I/O is in flight.
-// Listeners fire under the I/O mutex, on whichever thread performed the
-// operation, and must not re-enter the disk.
+// One read path: a page read is a run of one.  ReadPage, SubmitRead and
+// every caller above them reach the platter through ReadRun, which charges
+// the seek, copies the payload and consults the fault hook.
+//
+// Threading: the data-plane entry points (ReadRun, ReadPage, WritePage,
+// Exists, AddSeekPenalty, SubmitRead) serialize on an internal mutex so
+// concurrent clients — the sharded buffer pool, the AsyncDisk I/O threads —
+// can share one device.  The critical section per transfer is short (a
+// memcpy plus accounting); cross-spindle parallelism lives in the
+// per-spindle elevator threads above (storage/async_disk.h), which overlap
+// their seeks and queue service.  head() and spindle_head_page() are
+// lock-free snapshots.  Everything else (stats, ResetStats, ParkHead, read
+// traces, Save/Load, SetLogRegion) is control-plane: call it only while no
+// I/O is in flight.  Listeners fire under the I/O mutex, on whichever
+// thread performed the operation, and must not re-enter the disk.
 //
 // Attribution: every counter increment (reads, seek pages, pages_read,
 // coalesced runs, penalties, injected faults) is also charged to the
 // calling thread's obs::QueryContext when one is current, at the same site
-// as the global increment — the per-query sums therefore equal the global
-// DiskStats exactly (see obs/query_context.h for the conservation rules).
+// as the spindle increment — the per-query sums therefore equal stats()
+// exactly (see obs/query_context.h for the conservation rules).
 
 #ifndef COBRA_STORAGE_DISK_H_
 #define COBRA_STORAGE_DISK_H_
@@ -104,9 +106,8 @@ struct DiskStats {
   uint64_t write_seek_pages = 0;
   // Vectored-I/O accounting: `reads` counts transfers (one per ReadRun call
   // that moves data), `pages_read` counts pages moved, and `coalesced_runs`
-  // counts transfers that moved two or more pages.  All three stay in
-  // lockstep with the single-page path (pages_read == reads) until a caller
-  // actually coalesces, which keeps the seed goldens bit-identical.
+  // counts transfers that moved two or more pages.  A one-page read is a
+  // run of one, so pages_read == reads until a caller coalesces.
   uint64_t pages_read = 0;
   uint64_t coalesced_runs = 0;
 
@@ -152,7 +153,7 @@ struct RunReadResult {
 
 // One disk transfer, as the listener sees it: which spindle served it, which
 // pages moved in which direction, and how far the arm travelled.  A
-// single-page ReadPage/WritePage is a run of 1.  A ReadRun transfer reports
+// single-page read or write is a run of 1.  A ReadRun transfer reports
 // the pages that actually moved (a fault or missing page cuts the run), and
 // on an array a run that crosses a stripe seam is reported once, from its
 // entry page's spindle.
@@ -212,10 +213,9 @@ class SimulatedDisk {
 
   size_t page_size() const { return options_.page_size; }
 
-  // Reads page `id` into `out` (which must hold page_size() bytes).
-  // Returns NotFound for a page that was never written.  Virtual so a
-  // fault-injecting decorator (storage/faulty_disk.h) can sabotage reads
-  // and an async front-end (storage/async_disk.h) can queue them.
+  // Reads page `id` into `out` (which must hold page_size() bytes): the
+  // status of ReadRun(id, 1, true, &out).  Returns NotFound for a page that
+  // was never written.  Decorators override ReadRun, which this calls.
   virtual Status ReadPage(PageId id, std::byte* out);
 
   // Writes page `id` from `data` (page_size() bytes), allocating it if new.
@@ -234,8 +234,9 @@ class SimulatedDisk {
   // and counts one read); upper layers split runs at seams so this is the
   // uncommon path.  A missing or faulty page splits the run per
   // RunReadResult; its seek cost (if any) is still charged, and untouched
-  // trailing pages cost nothing.  n == 1 is accounting-identical to
-  // ReadPage.
+  // trailing pages cost nothing.  Virtual so a fault-injecting disk
+  // (storage/faulty_disk.h) can sabotage reads and an async front-end
+  // (storage/async_disk.h) can queue them.
   virtual RunReadResult ReadRun(PageId first, size_t n, bool ascending,
                                 std::byte* const* outs);
 
@@ -291,8 +292,8 @@ class SimulatedDisk {
     return spindles_[s].head_page.load(std::memory_order_relaxed);
   }
 
-  // Control-plane snapshot of one spindle's counters.  The per-spindle
-  // sums over all spindles equal stats() field by field.
+  // Control-plane snapshot of one spindle's counters; stats() is the sum
+  // over all spindles.
   virtual DiskStats spindle_stats(uint32_t s) const {
     return spindles_[s].stats;
   }
@@ -311,7 +312,8 @@ class SimulatedDisk {
   // exclusive control of the device).
   void ParkHead(PageId id);
 
-  const DiskStats& stats() const { return stats_; }
+  // Control-plane: the sum of this device's per-spindle counters.
+  DiskStats stats() const;
   void ResetStats();
 
   // Persists the disk image (all allocated pages) to a host file, and loads
@@ -345,12 +347,12 @@ class SimulatedDisk {
   // the single funnel every injected fault kind passes through.
   void NotifyFault(PageId page, FaultKind kind);
 
-  // Per-page sabotage hook for vectored reads, called by ReadRun under
-  // io_mu_ after each page's payload lands in its output buffer.  The
-  // default injects nothing.  FaultInjectingDisk overrides it to apply the
-  // same deterministic per-(page, attempt) fault schedule the single-page
-  // path uses; implementations must only take leaf locks (never io_mu_) and
-  // report latency-style costs through `*penalty_pages` instead of calling
+  // Per-page sabotage hook, called by ReadRun under io_mu_ after each
+  // page's payload lands in its output buffer: the one funnel every read
+  // fault passes through.  The default injects nothing.  FaultInjectingDisk
+  // overrides it with its deterministic per-(page, attempt) schedule;
+  // implementations must only take leaf locks (never io_mu_) and report
+  // latency-style costs through `*penalty_pages` instead of calling
   // AddSeekPenalty.
   virtual Status InjectRunPageFault(PageId id, std::byte* out,
                                     uint64_t* penalty_pages) {
@@ -359,16 +361,6 @@ class SimulatedDisk {
     (void)penalty_pages;
     return Status::OK();
   }
-
- protected:
-  // Unlocked implementations, for subclasses that already hold io_mu_.
-  Status ReadPageLocked(PageId id, std::byte* out);
-  Status WritePageLocked(PageId id, const std::byte* data);
-  void AddSeekPenaltyLocked(uint64_t pages, bool is_read);
-  void AddSeekPenaltyAtLocked(PageId near_page, uint64_t pages, bool is_read);
-
-  // Serializes the data-plane (page map, stats, trace, listener calls).
-  mutable std::mutex io_mu_;
 
  private:
   // One arm per spindle.  `head_offset` is the arm position in the
@@ -384,16 +376,20 @@ class SimulatedDisk {
   // Placement plus the log-region override.
   SpindleSlot ResolveSlot(PageId id) const;
 
-  // Charges one read/write of `id` to its spindle and the globals; moves
-  // that spindle's arm.  Returns the charged distance.
-  uint64_t ChargeSeek(PageId id, bool is_read);
+  // Charges one write of `id` to its spindle and moves that spindle's arm.
+  // Caller holds io_mu_.
+  void ChargeWrite(PageId id);
+  // Charges `pages` of penalty to the spindle holding `near_page` without
+  // moving an arm.  Caller holds io_mu_.
+  void ChargePenalty(PageId near_page, uint64_t pages, bool is_read);
 
+  // Serializes the data-plane (page map, stats, trace, listener calls).
+  mutable std::mutex io_mu_;
   DiskOptions options_;
   PlacementPolicy placement_;
   std::unordered_map<PageId, std::vector<std::byte>> pages_;
   std::atomic<PageId> head_{0};
   PageId span_ = 0;
-  DiskStats stats_;
   std::vector<SpindleState> spindles_;
   // Log-region override (SetLogRegion); kInvalidPageId = none.
   PageId log_first_ = kInvalidPageId;

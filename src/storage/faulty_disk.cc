@@ -32,28 +32,6 @@ double FaultInjectingDisk::Draw(PageId id, uint64_t attempt,
   return static_cast<double>(Mix(id, attempt, salt) >> 11) * 0x1.0p-53;
 }
 
-Status FaultInjectingDisk::ReadPage(PageId id, std::byte* out) {
-  Status base = SimulatedDisk::ReadPage(id, out);
-  if (!base.ok()) {
-    return base;
-  }
-  // The seek was charged (the arm really moved there) but the spindle
-  // cannot deliver the payload.  Independent of set_enabled().
-  Status degraded = CheckDegraded(id);
-  if (!degraded.ok()) {
-    return degraded;
-  }
-  if (!enabled_) {
-    return base;
-  }
-  uint64_t penalty = 0;
-  Status injected = DrawPageFault(id, out, &penalty);
-  if (penalty > 0) {
-    AddSeekPenaltyAt(id, penalty, /*is_read=*/true);
-  }
-  return injected;
-}
-
 Status FaultInjectingDisk::CheckDegraded(PageId id) {
   std::lock_guard<std::mutex> lock(fault_mu_);
   if (degraded_spindle_ < 0 ||

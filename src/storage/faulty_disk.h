@@ -13,7 +13,10 @@
 //   * bit flips / torn pages   — the read "succeeds" but the returned bytes
 //     are corrupted; page checksums (storage/checksum.h) catch them;
 //   * extra latency            — the read succeeds but charges extra
-//     seek-page cost (AddSeekPenalty).
+//     seek-page cost to the read's spindle.
+//
+// Every read fault is injected through the base disk's per-page hook
+// (InjectRunPageFault), which ReadRun calls; a page read is a run of one.
 //
 // Corruption is applied to the returned copy only; the stored page stays
 // pristine, so a retried read re-draws its fault independently.  Every
@@ -107,7 +110,6 @@ class FaultInjectingDisk : public SimulatedDisk {
   explicit FaultInjectingDisk(FaultProfile profile, DiskOptions options = {})
       : SimulatedDisk(options), profile_(profile) {}
 
-  Status ReadPage(PageId id, std::byte* out) override;
   Status WritePage(PageId id, const std::byte* data) override;
 
   // Arms / disarms injection.  Disarmed, the disk behaves exactly like the
@@ -195,10 +197,11 @@ class FaultInjectingDisk : public SimulatedDisk {
   }
 
  protected:
-  // Vectored-read sabotage: ReadRun calls this per page under io_mu_.
-  // Applies the identical (seed, page, attempt) schedule as ReadPage —
-  // coalescing a run never changes which faults fire, only how they are
-  // delivered (the run splits at the faulty page).
+  // Read sabotage: ReadRun calls this per page, with the disk's I/O mutex
+  // held, for every read (a page read is a run of one).  The draws depend
+  // only on (seed, page, attempt), so coalescing a run never changes which
+  // faults fire, only how they are delivered (the run splits at the faulty
+  // page).
   Status InjectRunPageFault(PageId id, std::byte* out,
                             uint64_t* penalty_pages) override;
 
@@ -233,10 +236,10 @@ class FaultInjectingDisk : public SimulatedDisk {
   int crash_spindle_ = -1;
   // Guards attempts_, write_attempts_, fault_stats_ and the crash-point
   // state, so concurrent readers/writers draw from one coherent per-page
-  // attempt sequence.  This is a leaf lock: nothing is called out to while
-  // it is held (latency penalties are returned to the caller, not charged
-  // inline), so it is safe to take both with and without the base class's
-  // I/O mutex held.
+  // attempt sequence.  A leaf lock: reads take it under the base class's
+  // I/O mutex, writes before taking that mutex, and nothing that could take
+  // the I/O mutex is called while it is held (latency penalties are
+  // returned to the caller, not charged inline).
   mutable std::mutex fault_mu_;
   std::unordered_map<PageId, uint64_t> attempts_;
   std::unordered_map<PageId, uint64_t> write_attempts_;

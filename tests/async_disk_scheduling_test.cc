@@ -31,10 +31,6 @@ class GatedDisk : public SimulatedDisk {
   void WaitUntilGated() { gated_.wait(); }
   void Release() { release_.count_down(); }
 
-  Status ReadPage(PageId id, std::byte* out) override {
-    BeforeTransfer();
-    return SimulatedDisk::ReadPage(id, out);
-  }
   RunReadResult ReadRun(PageId first, size_t n, bool ascending,
                         std::byte* const* outs) override {
     BeforeTransfer();
@@ -205,6 +201,39 @@ std::shared_future<Status> SubmitAs(AsyncDisk* async,
                                     PageId page, std::byte* out) {
   obs::ScopedQueryContext scope(std::move(query));
   return async->SubmitRead(page, out);
+}
+
+// FIFO among equal pages on a down-sweep.  The gate read carries no query
+// context.  Query A, then query B, queue a read of page 64, below the arm;
+// the sweep reverses at the gate page, so page 64 is a down-sweep pick.
+// A's read is older, so A's transfer moves the arm 128 -> 64 and B's costs
+// nothing.
+TEST(AsyncDiskScheduling, SamePageWaitersLeaveOldestFirstOnADownSweep) {
+  GatedDisk backing;
+  StampPages(&backing);
+  AsyncDisk async(&backing);
+  auto a = std::make_shared<obs::QueryContext>(1, "a");
+  auto b = std::make_shared<obs::QueryContext>(2, "b");
+
+  std::vector<std::vector<std::byte>> buffers(
+      3, std::vector<std::byte>(backing.page_size()));
+  auto gate = async.SubmitRead(kGatePage, buffers[0].data());
+  backing.WaitUntilGated();
+  auto a_read = SubmitAs(&async, a, 64, buffers[1].data());
+  WaitForSubmitted(&async, 2);
+  auto b_read = SubmitAs(&async, b, 64, buffers[2].data());
+  WaitForSubmitted(&async, 3);
+  backing.Release();
+  EXPECT_TRUE(gate.get().ok());
+  EXPECT_TRUE(a_read.get().ok());
+  EXPECT_TRUE(b_read.get().ok());
+  async.Drain();
+
+  EXPECT_EQ(backing.read_trace(), (std::vector<PageId>{kGatePage, 64, 64}));
+  EXPECT_EQ(a->io.read_seek_pages.load(), kGatePage - 64);
+  EXPECT_EQ(b->io.read_seek_pages.load(), 0u);
+  EXPECT_EQ(buffers[1][0], std::byte{64});
+  EXPECT_EQ(buffers[2][0], std::byte{64});
 }
 
 // Query A reads the gate page and has one more read (below the arm)

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <vector>
@@ -17,6 +18,14 @@
 namespace cobra {
 namespace {
 
+// One pick as AsyncDisk makes it at max_run_pages = 1: a single ticket.
+std::optional<uint64_t> PopOne(ElevatorIoQueue* queue, PageId head) {
+  std::optional<IoRun> run = queue->PopRun(head, 1);
+  if (!run.has_value()) return std::nullopt;
+  EXPECT_EQ(run->tickets.size(), 1u);
+  return run->tickets.front().second;
+}
+
 // Serves every queued request, returning the visit order and accumulating
 // |page - head| travel — the simulated disk's cost model, with the head
 // following each served request as it does on the real device.
@@ -25,7 +34,7 @@ std::vector<PageId> DrainQueue(ElevatorIoQueue* queue,
                                PageId head, uint64_t* travel) {
   std::vector<PageId> order;
   while (!queue->empty()) {
-    auto ticket = queue->PopNext(head);
+    auto ticket = PopOne(queue, head);
     if (!ticket.has_value()) {
       ADD_FAILURE() << "non-empty queue returned nothing";
       break;
@@ -60,14 +69,14 @@ TEST(ElevatorIoQueueProperty, EveryRequestServedExactlyOnce) {
     PageId head = std::uniform_int_distribution<PageId>(0, 500)(rng);
     std::set<uint64_t> served;
     while (!queue.empty()) {
-      auto ticket = queue.PopNext(head);
+      auto ticket = PopOne(&queue, head);
       ASSERT_TRUE(ticket.has_value());
       EXPECT_TRUE(served.insert(*ticket).second)
           << "ticket " << *ticket << " served twice (trial " << trial << ")";
       head = by_ticket.at(*ticket);
     }
     EXPECT_EQ(served.size(), pages.size()) << "trial " << trial;
-    EXPECT_FALSE(queue.PopNext(head).has_value());
+    EXPECT_FALSE(PopOne(&queue, head).has_value());
   }
 }
 
@@ -88,14 +97,14 @@ TEST(ElevatorIoQueueProperty, ExactlyOnceUnderInterleavedArrivals) {
         by_ticket[next_ticket] = page;
         queue.Push(page, next_ticket++);
       } else {
-        auto ticket = queue.PopNext(head);
+        auto ticket = PopOne(&queue, head);
         ASSERT_TRUE(ticket.has_value());
         EXPECT_TRUE(served.insert(*ticket).second);
         head = by_ticket.at(*ticket);
       }
     }
     while (!queue.empty()) {
-      auto ticket = queue.PopNext(head);
+      auto ticket = PopOne(&queue, head);
       ASSERT_TRUE(ticket.has_value());
       EXPECT_TRUE(served.insert(*ticket).second);
       head = by_ticket.at(*ticket);
@@ -110,10 +119,25 @@ TEST(ElevatorIoQueueProperty, FifoAmongRequestsForTheSamePage) {
     queue.Push(/*page=*/7, ticket);
   }
   for (uint64_t expected = 0; expected < 5; ++expected) {
-    auto ticket = queue.PopNext(/*head=*/7);
+    auto ticket = PopOne(&queue, /*head=*/7);
     ASSERT_TRUE(ticket.has_value());
     EXPECT_EQ(*ticket, expected);
   }
+
+  // Down-sweep: after page 10 nothing lies above the head, so the sweep
+  // reverses onto page 5, whose waiters still leave oldest first.
+  queue.Push(/*page=*/10, /*ticket=*/0);
+  for (uint64_t ticket = 1; ticket < 4; ++ticket) {
+    queue.Push(/*page=*/5, ticket);
+  }
+  PageId head = 10;
+  for (uint64_t expected = 0; expected < 4; ++expected) {
+    auto ticket = PopOne(&queue, head);
+    ASSERT_TRUE(ticket.has_value());
+    EXPECT_EQ(*ticket, expected);
+    head = expected == 0 ? 10 : 5;
+  }
+  EXPECT_FALSE(queue.sweeping_up());
 }
 
 TEST(ElevatorIoQueueProperty, MergedColdStartNeverCostsMoreThanPerClient) {
@@ -249,36 +273,6 @@ TEST(ElevatorIoQueueRunProperty, RunsAreAdjacentDirectedAndBounded) {
       head = prev;
     }
   }
-}
-
-TEST(ElevatorIoQueueRunProperty, MaxRunOneDegeneratesToSinglePops) {
-  std::mt19937_64 rng(31415);
-  std::vector<PageId> pages = RandomPages(&rng, 64, 200);
-  // Distinct pages: same-page waiters pop oldest-first from PopRun but
-  // keep PopNext's historical within-page order, so ticket-level equality
-  // only holds page-by-page.
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-  std::shuffle(pages.begin(), pages.end(), rng);
-  ElevatorIoQueue a;
-  ElevatorIoQueue b;
-  for (uint64_t ticket = 0; ticket < pages.size(); ++ticket) {
-    a.Push(pages[ticket], ticket);
-    b.Push(pages[ticket], ticket);
-  }
-  PageId head_a = 50;
-  PageId head_b = 50;
-  while (!a.empty()) {
-    auto run = a.PopRun(head_a, 1);
-    auto single = b.PopNext(head_b);
-    ASSERT_TRUE(run.has_value());
-    ASSERT_TRUE(single.has_value());
-    ASSERT_EQ(run->tickets.size(), 1u);
-    EXPECT_EQ(run->tickets[0].second, *single);
-    head_a = run->tickets[0].first;
-    head_b = head_a;
-  }
-  EXPECT_TRUE(b.empty());
 }
 
 TEST(ElevatorIoQueueRunProperty, WritesServeAloneAndBarrierEntryPageReads) {
